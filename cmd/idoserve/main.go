@@ -1,7 +1,8 @@
 // Command idoserve runs the networked KV front end: the memcache text
 // protocol or RESP over the iDO failure-atomicity runtime, with requests
-// hashed to per-shard commit pipelines that feed the device's
-// group-commit fence combiner.
+// hashed to shards whose FASEs, run by the connections' reader
+// goroutines under per-shard locks, feed the device's group-commit fence
+// combiner.
 //
 // Usage:
 //
@@ -66,14 +67,14 @@ func main() {
 	admin := flag.String("admin", "", "admin listen address (/metrics, /healthz, /readyz, /debug/*); empty = off")
 	statsevery := flag.Duration("statsevery", 0, "print a stats snapshot line this often (0 = off)")
 	trace := flag.Bool("trace", true, "keep live event rings for /debug/trace (counters stay on regardless)")
-	shards := flag.Int("shards", 16, "shard pipelines (rounded up to a power of two)")
+	shards := flag.Int("shards", 16, "store shards (rounded up to a power of two)")
 	buckets := flag.Int("buckets", 64, "hash buckets per shard")
 	size := flag.Int("size", 1<<26, "simulated NVM region bytes")
 	gc := flag.Bool("gc", false, "enable the group-commit fence combiner")
 	gcwindow := flag.Int("gcwindow", 2000, "combiner leader batch window, simulated ns (with -gc)")
 	gcforce := flag.Bool("gcforce", false, "with -gc: route solo commits through the combiner ring too")
-	maxitems := flag.Int("maxitems", 0, "per-shard live-item watermark; the pipeline evicts LRU items above it (0 = unbounded)")
-	nofast := flag.Bool("nofastreads", false, "disable the lock-free GET fast lane (serve every read through its shard pipeline)")
+	maxitems := flag.Int("maxitems", 0, "per-shard live-item watermark; writes evict LRU items above it (0 = unbounded)")
+	nofast := flag.Bool("nofastreads", false, "disable the lock-free GET fast lane (serve every read as a FASE under its shard lock)")
 	maxconns := flag.Int("maxconns", 0, "reject connections past this many with a busy error (0 = unbounded)")
 	idletimeout := flag.Duration("idletimeout", 0, "close connections idle for this long (0 = never)")
 	draintimeout := flag.Duration("draintimeout", 5*time.Second, "graceful-shutdown budget for in-flight requests on SIGINT/SIGTERM")
@@ -268,8 +269,7 @@ func main() {
 		fmt.Println("idoserve: interrupt, draining")
 		health.Set(false, "draining")
 		err := srv.Drain(*draintimeout)
-		st := srv.Stats()
-		fmt.Printf("idoserve: served %d requests in %d write batches\n", st.Reqs, st.Batches)
+		printServed(srv)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "idoserve: drain: %v\n", err)
 			os.Exit(1)
@@ -279,7 +279,13 @@ func main() {
 	if err := srv.Serve(ln); err != nil && err != server.ErrServerClosed {
 		fatalf("serve: %v", err)
 	}
-	st := srv.Stats()
+	printServed(srv)
+}
+
+// printServed reports the server's lifetime response and batch totals.
+func printServed(srv *server.Server) {
+	var st metrics.ServerStats
+	srv.MetricsSnapshot(&st)
 	fmt.Printf("idoserve: served %d requests in %d write batches\n", st.Reqs, st.Batches)
 }
 

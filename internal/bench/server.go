@@ -32,13 +32,13 @@ type ServerResult struct {
 // pipelining depth for direct persists versus the group-commit combiner.
 // The workload is Fig. 5c's mix (40% SET, 20% DELETE, 40% GET) over a
 // prefilled key space. Concurrency reaches the persistence domain
-// through the shard pipelines — 16 shard threads committing FASEs
-// back-to-back — so at high connection counts the combiner merges
-// cross-shard fence drains exactly as it merges worker threads in the
-// commit microbenchmark, and the client sees the win as ops/s. The
-// acceptance bars: grouped throughput at 16 conns ≥ 1.5x direct with
-// fewer device fences per operation, and 1-conn latency within parity
-// (a solo committer skips combining).
+// through the connections' reader goroutines, each running its
+// requests' FASEs under one of 16 shard locks, so at high connection
+// counts the combiner merges cross-shard fence drains exactly as it
+// merges worker threads in the commit microbenchmark, and the client
+// sees the win as ops/s. The acceptance bars: grouped throughput at 16
+// conns ≥ 1.5x direct with fewer device fences per operation, and
+// 1-conn latency within parity (a solo committer skips combining).
 func RunServer(o Options) ([]ServerResult, error) {
 	conns := []int{1, 2, 4, 8, 16}
 	pipelines := []int{1, 8}
@@ -123,10 +123,10 @@ type ServerReadResult struct {
 // RunServerReadPath regenerates the read-path experiment: a GET-heavy
 // mix (90% GET, 10% SET, Zipf-skewed keys — the memcached-in-production
 // shape) over the memcache front end, sweeping connections for the
-// slot-path baseline ("slot", every get dispatched through its shard
-// pipeline) against the lock-free fast lane ("fast") and the fast lane
-// with 8-key multi-get batches ("fast-mget8", one scatter-gather request
-// per 8 keys). The acceptance bars: fast ≥ 2x slot served ops/s at 16
+// slot-path baseline ("slot", every get run as a read FASE under its
+// shard lock) against the lock-free fast lane ("fast") and the fast lane
+// with 8-key multi-get batches ("fast-mget8", one multi-get request per
+// 8 keys). The acceptance bars: fast ≥ 2x slot served ops/s at 16
 // connections, and the residual fences/op tracking the 10% write leg
 // alone — reads on the fast lane never fence.
 func RunServerReadPath(o Options) ([]ServerReadResult, error) {
@@ -232,13 +232,14 @@ func runServerPointCfg(o Options, pt serverPoint) (*loadgen.Result, uint64, metr
 	if pt.gc {
 		// ForceCombine routes every commit through the slot ring. The solo
 		// fast path would otherwise defeat the experiment on a small host:
-		// shard threads block on their queues between requests, so the
-		// scheduler switches between them at channel boundaries — never
-		// inside a commit — and each arrival sees itself alone and fences
-		// directly. Forcing the ring makes the first committer the leader,
-		// and its batch-window dwell yields the processor to the other
-		// shard pipelines until they reach their publish points: the
-		// rendezvous a multicore host gets from true concurrency.
+		// readers block on their connections and shard locks between
+		// requests, so the scheduler switches between them at channel
+		// boundaries — never inside a commit — and each arrival sees
+		// itself alone and fences directly. Forcing the ring makes the
+		// first committer the leader, and its batch-window dwell yields
+		// the processor to the other readers until they reach their
+		// publish points: the rendezvous a multicore host gets from true
+		// concurrency.
 		cfg.GroupCommit = nvm.GroupCommitConfig{
 			Enabled: true, ForceCombine: true, WindowNS: pt.windowNS}
 	}

@@ -179,7 +179,8 @@ func (rt *Runtime) NewThread() (persist.Thread, error) {
 	return t, nil
 }
 
-// Thread is a worker's iDO handle. It must be used from one goroutine.
+// Thread is a worker's iDO handle. It is used by one goroutine at a time,
+// with hand-off synchronized.
 type Thread struct {
 	rt  *Runtime
 	id  int

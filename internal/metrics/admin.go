@@ -12,7 +12,7 @@ import (
 // The admin plane: a plain net/http mux over the snapshot layer. It
 // runs on its own listener (idoserve -admin), fully isolated from the
 // serving data path — a scrape or a trace capture never touches a
-// connection goroutine or a shard pipeline beyond the atomic loads the
+// connection goroutine or a shard lock beyond the atomic loads the
 // snapshot performs.
 
 // Health is the process's readiness state machine. Liveness (/healthz)

@@ -2,7 +2,7 @@
 // lock-free snapshot/delta layer that turns the cumulative counters the
 // hot paths already maintain — obs.Tracer event counts and histograms,
 // nvm.Device persist-event stats, group-commit combiner gauges, and the
-// server's per-shard pipeline gauges — into one coherent Snapshot that
+// server's per-shard gauges — into one coherent Snapshot that
 // renders as Prometheus text, memcache `stats`, RESP `INFO`, or JSON,
 // and diffs into interval rates (req/s, fences/op, batch occupancy,
 // latency quantiles).
@@ -23,10 +23,10 @@ import (
 	"github.com/ido-nvm/ido/internal/obs"
 )
 
-// ShardStats is one shard pipeline's gauges and counters.
+// ShardStats is one shard's gauges and counters.
 type ShardStats struct {
-	QueueDepth int64  // requests parked in the shard's dispatch queue now
-	InFlight   int64  // requests being executed by the shard thread now (0 or 1)
+	QueueDepth int64  // readers waiting on the shard lock now
+	InFlight   int64  // FASEs running under the shard lock now (0 or 1)
 	Reqs       uint64 // requests the shard has completed
 	Gets       uint64
 	Sets       uint64
@@ -42,8 +42,8 @@ type ShardStats struct {
 	FastRetries   uint64
 	FastParks     uint64
 	FastFallbacks uint64
-	Touches       uint64 // sampled LRU-touch FASEs drained by the pipeline
-	Evictions     uint64 // watermark evictions performed by the pipeline
+	Touches       uint64 // sampled LRU-touch FASEs run when the shard lock was free
+	Evictions     uint64 // watermark evictions after mutating FASEs
 }
 
 // ServerStats is the front end's counter/gauge block, filled by the

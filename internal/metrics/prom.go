@@ -75,13 +75,13 @@ func WritePrometheus(w io.Writer, cur *Snapshot, d *Delta) {
 	counter("ido_server_crashes_total", "Injected device crashes observed while serving.", cur.Srv.Crashes)
 	gaugeI("ido_server_connections_open", "Connections currently served.", cur.Srv.ConnsOpen)
 
-	// Per-shard pipeline gauges.
+	// Per-shard gauges.
 	if len(cur.Srv.Shards) > 0 {
-		fmt.Fprintf(w, "# HELP ido_shard_queue_depth Requests parked in the shard dispatch queue.\n# TYPE ido_shard_queue_depth gauge\n")
+		fmt.Fprintf(w, "# HELP ido_shard_queue_depth Readers waiting on the shard lock.\n# TYPE ido_shard_queue_depth gauge\n")
 		for i := range cur.Srv.Shards {
 			fmt.Fprintf(w, "ido_shard_queue_depth{shard=\"%d\"} %d\n", i, cur.Srv.Shards[i].QueueDepth)
 		}
-		fmt.Fprintf(w, "# HELP ido_shard_inflight Requests being executed by the shard thread.\n# TYPE ido_shard_inflight gauge\n")
+		fmt.Fprintf(w, "# HELP ido_shard_inflight FASEs running under the shard lock.\n# TYPE ido_shard_inflight gauge\n")
 		for i := range cur.Srv.Shards {
 			fmt.Fprintf(w, "ido_shard_inflight{shard=\"%d\"} %d\n", i, cur.Srv.Shards[i].InFlight)
 		}
@@ -116,9 +116,9 @@ func WritePrometheus(w io.Writer, cur *Snapshot, d *Delta) {
 		counter("ido_server_fast_gets_total", "Gets served on the lock-free fast lane.", fgets)
 		counter("ido_server_fast_retries_total", "Seqlock validation conflicts retried on the fast lane.", fretries)
 		counter("ido_server_fast_parks_total", "Fast-lane reads parked on an in-flight commit ticket.", fparks)
-		counter("ido_server_fast_fallbacks_total", "Fast-lane reads that fell back to the shard slot path.", ffalls)
-		counter("ido_server_touch_fases_total", "Sampled LRU-touch FASEs drained by shard pipelines.", touches)
-		counter("ido_server_evictions_total", "Watermark evictions performed by shard pipelines.", evicts)
+		counter("ido_server_fast_fallbacks_total", "Fast-lane reads that fell back to a read FASE under the shard lock.", ffalls)
+		counter("ido_server_touch_fases_total", "Sampled LRU-touch FASEs run when the shard lock was free.", touches)
+		counter("ido_server_evictions_total", "Watermark evictions performed after mutating FASEs.", evicts)
 	}
 
 	// Hot-standby replication: role/lag gauges and stream counters.

@@ -43,8 +43,8 @@ type Runtime interface {
 	Stats() RuntimeStats
 }
 
-// Thread is a worker's handle on a runtime. A Thread must be used from a
-// single goroutine.
+// Thread is a worker's handle on a runtime. A Thread is used by one
+// goroutine at a time, with hand-off synchronized.
 type Thread interface {
 	// ID is the stable thread index assigned at registration.
 	ID() int

@@ -14,12 +14,12 @@ import (
 
 // ShipperConfig sizes the primary-side log shipper.
 type ShipperConfig struct {
-	// Shards is the number of shard pipelines feeding the shipper; must
+	// Shards is the number of store shards feeding the shipper; must
 	// equal the store's shard count.
 	Shards int
 	// Buffer is the per-shard unacked record ring capacity (default
 	// 8192). Overflow detaches the standby: availability over
-	// replication, counted and logged rather than stalling a pipeline.
+	// replication, counted and logged rather than stalling a shard.
 	Buffer int
 	// AckTimeout bounds how long a deferred client completion may wait
 	// for the standby's receipt ack before the shipper declares the
@@ -68,7 +68,7 @@ type shipShard struct {
 	lost    bool   // overflow while detached: buffered history incomplete
 }
 
-// Shipper is the primary-side half: shard pipelines Publish committed
+// Shipper is the primary-side half: the server's shards Publish committed
 // mutations, a sender goroutine streams them to the attached standby,
 // and an ack reader releases deferred client completions.
 type Shipper struct {
@@ -95,7 +95,7 @@ type Shipper struct {
 	attaches    atomic.Uint64
 }
 
-// NewShipper builds a shipper for cfg.Shards pipelines. Complete must be
+// NewShipper builds a shipper for cfg.Shards shards. Complete must be
 // set before the first Publish.
 func NewShipper(cfg ShipperConfig) (*Shipper, error) {
 	if cfg.Shards <= 0 {
@@ -117,8 +117,9 @@ func (p *Shipper) Shards() int { return len(p.shards) }
 // binds it at construction, after the shipper exists).
 func (p *Shipper) SetComplete(fn func(tok any)) { p.cfg.Complete = fn }
 
-// Publish enqueues one committed mutation for shipping. Called by a
-// shard pipeline after the FASE's commit fence; tok is completed when
+// Publish enqueues one committed mutation for shipping, after the
+// FASE's commit fence. Calls for one shard come in commit order (the
+// server publishes under the shard's lock); tok is completed when
 // the standby's receipt ack covers the record (or immediately when no
 // standby is attached). op is OpSet or OpDel; val is the key's
 // resulting value for sets.
@@ -133,7 +134,7 @@ func (p *Shipper) Publish(shard int, op byte, k0, k1, val uint64, tok any) {
 	if len(s.recs) >= p.cfg.Buffer {
 		// Ring full: the standby (or its absence) has fallen too far
 		// behind to buffer for. Shed the oldest durably-unconfirmed
-		// history rather than stall the pipeline.
+		// history rather than stall the shard.
 		s.mu.Unlock()
 		if att {
 			p.detach("buffer overflow")

@@ -13,7 +13,7 @@ import (
 
 // A Store is a sharded persistent key-value backend. Each shard is an
 // independent FASE domain: the server binds shard i to exactly one
-// persist.Thread, and only that thread's pipeline goroutine ever executes
+// persist.Thread, and only the holder of the shard's lock ever executes
 // operations on it, so shards commit concurrently without contending on
 // store locks — their flushes and fences meet only in the device's
 // group-commit combiner. Keys are pre-encoded into the two fixed words
@@ -32,18 +32,18 @@ type Store interface {
 	Incr(t persist.Thread, shard int, k0, k1, delta uint64, dec bool) (uint64, bool)
 	// GetFast is the lock-free device-direct read used by the server's
 	// read fast lane. Safe to call from any goroutine concurrently with
-	// the shard's pipeline thread; only sound under the caller's
+	// a FASE under the shard lock; only sound under the caller's
 	// seqlock validation. ok=false means the walk could not complete
-	// safely (fall back to the slot path), distinct from a miss.
+	// safely (fall back to a locked read FASE), distinct from a miss.
 	GetFast(shard int, k0, k1 uint64) (v uint64, hit, ok bool)
 	// Touch retires sampled read stats (and the item's access time) as
-	// an ordinary FASE on the pipeline thread. May be a no-op for
+	// an ordinary FASE under the shard lock. May be a no-op for
 	// stores without read-side stats.
 	Touch(t persist.Thread, shard int, k0, k1, gets, hits uint64)
 	// Count reports a shard's live item count (unsynchronized read).
 	Count(shard int) uint64
 	// EvictOne removes one item from a shard to bound its size,
-	// reporting whether a victim existed. Pipeline-thread only.
+	// reporting whether a victim existed. Shard-lock holder only.
 	EvictOne(t persist.Thread, shard int) bool
 	// Device exposes the underlying NVM device; the fast lane uses its
 	// commit tickets to park reads behind in-flight commits.

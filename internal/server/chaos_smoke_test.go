@@ -12,6 +12,7 @@ import (
 	"github.com/ido-nvm/ido/internal/kv/redis"
 	"github.com/ido-nvm/ido/internal/loadgen"
 	"github.com/ido-nvm/ido/internal/locks"
+	"github.com/ido-nvm/ido/internal/metrics"
 	"github.com/ido-nvm/ido/internal/nvm"
 	"github.com/ido-nvm/ido/internal/persist"
 	"github.com/ido-nvm/ido/internal/region"
@@ -415,4 +416,129 @@ func runCrashMidServe(t *testing.T, proto server.Proto) {
 	if res2.Errs != 0 || res2.Ops != 400 {
 		t.Fatalf("post-recovery serve: %d ops, %d errors", res2.Ops, res2.Errs)
 	}
+}
+
+// TestServerCrashShardLockHandoff crashes the device inside a mutating
+// FASE while several connections queue on the same shard lock. The
+// dying reader keeps the lock, as a crashed thread keeps its iDO locks;
+// the readers queued behind it must leave through the server's stop
+// channel, so Close returns promptly, and recovery must leave every
+// acked key explainable by its history.
+func TestServerCrashShardLockHandoff(t *testing.T) {
+	devcfg := nvm.Config{
+		Size:        1 << 22,
+		GroupCommit: nvm.GroupCommitConfig{Enabled: true, WindowNS: 2000},
+	}
+	// Arm before anything runs so lock waiters take the crash-aware
+	// spin path; the real budget is set once the server is up.
+	nvm.ArmCrash(1 << 60)
+	defer nvm.ArmCrash(-1)
+
+	reg := region.Create(1<<22, devcfg)
+	lm := locks.NewManager(reg)
+	rt := core.New(core.DefaultConfig())
+	if err := rt.Attach(reg, lm); err != nil {
+		t.Fatalf("attach: %v", err)
+	}
+	// One shard: every key of every connection contends on one lock.
+	store, err := server.NewMcStore(&memcache.Env{Reg: reg, LM: lm}, 1, 64)
+	if err != nil {
+		t.Fatalf("new store: %v", err)
+	}
+	srv, err := server.New(rt, store, server.Config{Proto: server.ProtoMemcache}, nil)
+	if err != nil {
+		t.Fatalf("new server: %v", err)
+	}
+	// Only sets and deletes: the device events that spend the budget all
+	// come from mutating FASEs.
+	nvm.ArmCrash(200_000)
+	resc := make(chan *loadgen.Result, 1)
+	go func() {
+		res, lerr := loadgen.Run(loadgen.Config{
+			Proto: loadgen.ProtoMemcache, Conns: 6, Pipeline: 4, Keys: 128,
+			SetPct: 70, DelPct: 30, Duration: 30 * time.Second, Seed: 21, Track: true,
+		}, dialer2(srv))
+		if lerr != nil {
+			t.Errorf("loadgen: %v", lerr)
+		}
+		resc <- res
+	}()
+
+	select {
+	case <-srv.Crashed():
+	case <-time.After(30 * time.Second):
+		t.Fatalf("crash budget did not fire under load")
+	}
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Close did not return: readers stuck behind the crashed shard lock")
+	}
+	var snap metrics.ServerStats
+	srv.MetricsSnapshot(&snap)
+	if sh := snap.Shards[0]; sh.InFlight != 1 || sh.QueueDepth != 0 {
+		t.Fatalf("after the crash: inflight=%d waiting=%d, want the dead FASE holding the lock and no waiters",
+			sh.InFlight, sh.QueueDepth)
+	}
+	var res *loadgen.Result
+	select {
+	case res = <-resc:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("load generator did not unwind after the crash")
+	}
+	if res == nil || res.Ops == 0 {
+		t.Fatalf("crash fired before any request was acknowledged; schedule proves nothing")
+	}
+	if res.Errs != 0 {
+		t.Fatalf("%d malformed replies before the crash", res.Errs)
+	}
+
+	nvm.ArmCrash(-1)
+	reg2, err := reg.Crash(nvm.CrashRandom, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatalf("reattach: %v", err)
+	}
+	lm2 := locks.NewManager(reg2)
+	rt2 := core.New(core.DefaultConfig())
+	if err := rt2.Attach(reg2, lm2); err != nil {
+		t.Fatalf("attach2: %v", err)
+	}
+	rr := persist.NewResumeRegistry()
+	store2, err := server.AttachMcStore(&memcache.Env{Reg: reg2, LM: lm2})
+	if err != nil {
+		t.Fatalf("attach store: %v", err)
+	}
+	store2.Register(rr)
+	if _, err := rt2.Recover(rr); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	th, err := rt2.NewThread()
+	if err != nil {
+		t.Fatalf("verify thread: %v", err)
+	}
+	acked := 0
+	for k, h := range res.Tracked {
+		if len(h.Ops) == 0 {
+			continue
+		}
+		kb := loadgen.AppendKey(nil, k)
+		k0, k1, _ := server.McKeyWords(kb)
+		val, present := store2.Get(th, store2.ShardOf(k0, k1), k0, k1)
+		if !h.Explainable(present, val) {
+			t.Fatalf("key %q (present=%v val=%d) unexplainable: acked=%d ops=%+v",
+				kb, present, val, h.Acked, h.Ops)
+		}
+		if h.Acked > 0 {
+			acked++
+		}
+	}
+	if acked == 0 {
+		t.Fatalf("no acked keys to verify")
+	}
+	t.Logf("crash after %d acked ops over 6 connections; %d acked keys explainable", res.Ops, acked)
 }

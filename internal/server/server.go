@@ -3,16 +3,15 @@
 // kv/memcache and a RESP server backed by kv/redis, both riding the
 // device's group-commit combiner.
 //
-// The shape is the whole point. Per-connection reader goroutines parse
-// zero-copy frames and hash each request to one of N shard pipelines; a
-// shard pipeline is a single goroutine owning one persist.Thread and one
-// store shard, executing FASEs back-to-back. Under load every shard has
-// a request in hand, so N commit streams hit PersistBatch/Fence
+// The serve path runs to completion, as the paper's memcached worker
+// threads do. A per-connection reader goroutine parses zero-copy frames,
+// hashes each request to one of N shards, takes that shard's FIFO lock,
+// and runs the request's FASE itself on the shard's persist.Thread.
+// Readers of different connections working on different shards commit
 // concurrently — exactly the overlap the group-commit combiner turns
-// into one shared fence per window. Responses complete out of order
-// across shards but are emitted in arrival order per connection through
-// a fixed slot ring, and a per-connection writer batches however many
-// responses are ready into one socket write.
+// into one shared fence per window. Responses are emitted in arrival
+// order per connection through a fixed slot ring, and a per-connection
+// writer batches however many responses are ready into one socket write.
 //
 // Everything on the steady-state path is allocation-free: slots are
 // fixed rings, free-slot tokens are a counting-semaphore channel,
@@ -24,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,15 +58,14 @@ var ErrServerClosed = errors.New("server: closed")
 // refuses a connection (after sending the canned busy reply).
 var ErrServerBusy = errors.New("server: too many connections")
 
-// Config sizes the per-connection and per-shard machinery.
+// Config sizes the per-connection machinery.
 type Config struct {
 	Proto Proto
-	// Ring is the per-connection pipeline depth: the number of in-flight
-	// request slots (default 256). A reader that gets ahead of its shards
-	// by this much blocks until responses drain.
+	// Ring is the per-connection pipeline depth: the number of request
+	// slots not yet emitted (default 256). A reader that gets ahead of
+	// its writer (or of the standby's acks) by this much blocks until
+	// responses drain.
 	Ring int
-	// ShardQueue is the per-shard request queue depth (default 256).
-	ShardQueue int
 	// ReadBuf is the per-connection read buffer (default 64 KiB; min 8 KiB,
 	// which every parseable frame fits inside — see the parser bounds).
 	ReadBuf int
@@ -80,12 +79,13 @@ type Config struct {
 	// builds a private collector over its own gauges alone.
 	Metrics *metrics.Collector
 	// MaxItems, when > 0, is the per-shard live-item watermark: after
-	// each mutating FASE the pipeline thread evicts (at most a couple
-	// per request, so writes stay bounded) while the shard exceeds it.
+	// each mutating FASE the shard lock's holder evicts (at most a
+	// couple per request, so writes stay bounded) while the shard
+	// exceeds it.
 	MaxItems int
-	// DisableFastReads forces every GET through the slot path,
-	// serializing reads behind writes on the shard pipelines as PR 7
-	// did. Benchmark A/B knob; leave false to serve reads lock-free.
+	// DisableFastReads forces every GET through a read FASE under the
+	// shard lock, serializing reads behind writes. Benchmark A/B knob;
+	// leave false to serve reads lock-free.
 	DisableFastReads bool
 	// Repl, when non-nil, is the hot-standby log shipper: every
 	// state-changing FASE publishes a replication record after its
@@ -107,16 +107,6 @@ func (cfg *Config) fill() {
 	if cfg.Ring <= 0 {
 		cfg.Ring = 256
 	}
-	// The ring must exceed the largest multi-get (maxMultiGet keys, 63
-	// for RESP MGET): scatter-gather claims every slot of a multi-get
-	// before dispatching any of them, and claims can only unblock if
-	// all older slots were dispatched or completed.
-	if cfg.Ring < 64 {
-		cfg.Ring = 64
-	}
-	if cfg.ShardQueue <= 0 {
-		cfg.ShardQueue = 256
-	}
 	if cfg.ReadBuf < 8<<10 {
 		cfg.ReadBuf = 64 << 10
 	}
@@ -129,11 +119,11 @@ func (cfg *Config) fill() {
 // (6+16+3+2+2+20+2 bytes) plus END, and every canned error line, fit.
 const respCap = 96
 
-// slot is one in-flight request. The reader fills it, exactly one shard
-// pipeline (or the reader itself, for local replies) completes it, and
-// the connection writer emits and recycles it. done is the only
-// cross-goroutine field: Store(true) after the fields are final
-// publishes them to the writer's Load.
+// slot is one in-flight request. The reader fills and runs it, the
+// reader (or the shipper, once the standby acks a replicated write)
+// completes it, and the connection writer emits and recycles it. done
+// is the only cross-goroutine field: Store(true) after the fields are
+// final publishes them to the writer's Load.
 type slot struct {
 	c       *conn
 	op      uint8
@@ -151,11 +141,6 @@ type slot struct {
 	rlen    int32
 	mhdr    int32 // >0 on an MGET's first slot: prepend the *N array header
 	resp    [respCap]byte
-	// next chains this slot to the next fallback slot bound for the
-	// same shard within one scatter-gather multi-get. Written by the
-	// reader before the chain head is dispatched, consumed (and nilled)
-	// by the shard pipeline; always nil outside a batched dispatch.
-	next *slot
 	// big is the overflow response for replies that cannot fit resp
 	// (stats/INFO bodies). Filled reader-side, consumed and nilled by the
 	// writer; always nil on the GET/SET/DEL hot path, which stays
@@ -172,74 +157,72 @@ type slot struct {
 // every done slot per ring. Because each done.Store happens before its
 // send attempt, and a failed send means the writer has a consume-then-
 // rescan still ahead of it, no completion is ever missed — and a
-// completer can never block, so shard pipelines cannot stall on a slow
-// or dead connection.
+// completer can never block, so a shard lock is never held waiting on
+// a slow or dead connection.
+//
+// A connection's own requests run one after another on its reader, so
+// a write's FASE has finished before the next frame is parsed: a
+// pipelined get — even a lock-free fast read — always sees the
+// connection's earlier writes, the per-connection read-your-writes that
+// memcache and RESP promise.
 type conn struct {
-	srv   *Server
-	nc    net.Conn
-	ring  []slot
-	free  chan struct{}
-	cmpl  chan struct{}
-	deadc chan struct{} // closed when the writer exits: unblocks the reader
-	rseq  uint64        // next slot to claim (reader only)
-	wseq  uint64        // next slot to emit (writer only)
-	wbuf  []byte
-
-	// Scatter-gather scratch (reader only): per-shard chain head/tail
-	// for the multi-get being dispatched, plus the list of shards the
-	// current request actually touched. Sized once at accept.
-	schHead []*slot
-	schTail []*slot
-	schIdx  []int32
-	touchN  uint64 // fast-read hit counter driving LRU touch sampling
-
-	// wpend[i] counts this connection's mutating slots dispatched to
-	// shard i and not yet executed (reader increments at dispatch, shard
-	// decrements after the FASE's even epoch bump). The fast lane is
-	// gated on wpend == 0 so a pipelined get never overtakes this
-	// connection's own earlier writes: memcache/RESP promise
-	// read-your-writes per connection, and a device-direct read sees
-	// only what has already committed.
-	wpend []atomic.Int32
+	srv    *Server
+	nc     net.Conn
+	ring   []slot
+	free   chan struct{}
+	cmpl   chan struct{}
+	deadc  chan struct{} // closed when the writer exits: unblocks the reader
+	rseq   uint64        // next slot to claim (reader only)
+	wseq   uint64        // next slot to emit (writer only)
+	wbuf   []byte
+	touchN uint64 // fast-read hit counter driving LRU touch sampling
+	more   bool   // bytes of another request are buffered behind this one
 }
 
-// shard is one commit pipeline: a goroutine owning one persist.Thread
-// and one store shard. fn is built once — the Exec closure reads cur, so
-// the hot loop allocates nothing.
+// shard is one store shard and the persist.Thread that runs its FASEs.
+// mu is the shard lock: a capacity-1 channel whose send acquires and
+// receive releases. Blocked senders queue in FIFO order, so the lock
+// hands off fairly, and a waiter can also watch stopc. The lock's
+// holder — whichever reader goroutine runs a FASE here — is the only
+// user of th and of the FASE arguments (cur, tkey, tgets, thits, evOK).
+// fn is built once — the Exec closure reads cur, so the hot path
+// allocates nothing.
 type shard struct {
-	srv  *Server
-	idx  int
+	srv     *Server
+	idx     int
+	dev     *nvm.Device
+	mu      chan struct{}
+	waiting atomic.Int32 // readers blocked acquiring mu
+
 	th   persist.Thread
-	dev  *nvm.Device
-	in   chan *slot
 	cur  *slot
 	fn   func()
 	ring *obs.Ring
 
 	// seq is the shard's seqlock epoch: odd exactly while a mutating
-	// FASE (set/del/incr/decr/evict) runs on the pipeline thread. Fast
+	// FASE (set/del/incr/decr/evict) runs under the shard lock. Fast
 	// readers snapshot it, walk the store device-direct, and re-check;
 	// an even, unchanged epoch proves the observed data came from a
-	// completed — hence fenced, hence durable — FASE. GETs on the slot
-	// path and touch drains don't bump: they only write read-stat words
+	// completed — hence fenced, hence durable — FASE. GETs under the
+	// lock and touches don't bump: they only write read-stat words
 	// (cmd_get/hits/iTime) that fast readers never load.
 	seq atomic.Uint64
 
-	// touch is the sampled LRU-touch ring: fast-read hits enqueue keys
-	// (lossy, non-blocking) and the pipeline thread drains each as one
-	// ordinary FASE, retiring the batched read-stat counts alongside.
-	touch    chan [2]uint64
+	// Sampled LRU touches: fast-read hits batch their read-stat counts
+	// here, and every 16th hit tries the shard lock to retire them (and
+	// the key's access time) as one ordinary FASE. A busy shard drops
+	// the touch; the counts wait for the next one.
 	pendGets atomic.Uint64
 	pendHits atomic.Uint64
-	tkey     [2]uint64 // drain-in-progress args (pipeline thread only)
+	tkey     [2]uint64 // touch-in-progress args
 	tgets    uint64
 	thits    uint64
 	touchFn  func()
 	evFn     func()
 	evOK     bool
 
-	// Pipeline gauges/counters, read by MetricsSnapshot. inflight is 1
-	// while the shard thread is inside a FASE; queue depth is len(in).
+	// Gauges/counters, read by MetricsSnapshot. inflight is 1 while a
+	// FASE runs under the shard lock.
 	inflight atomic.Int32
 	reqs     atomic.Uint64
 	verbs    [3]atomic.Uint64 // gets, sets, dels (indexed op-opGet)
@@ -248,7 +231,7 @@ type shard struct {
 	misses   atomic.Uint64
 
 	// Fast-lane counters: served lock-free, seqlock conflicts retried,
-	// parks on in-flight commits, and falls back to the slot path.
+	// parks on in-flight commits, and falls back to a locked read FASE.
 	fastGets    atomic.Uint64
 	fastRetries atomic.Uint64
 	fastParks   atomic.Uint64
@@ -257,14 +240,7 @@ type shard struct {
 	evictions   atomic.Uint64
 }
 
-// Stats is a point-in-time counter snapshot.
-type Stats struct {
-	Reqs     uint64 // responses emitted (including errors and canned replies)
-	Batches  uint64 // socket writes (response flushes)
-	BytesOut uint64
-}
-
-// Server multiplexes client connections over the shard pipelines.
+// Server multiplexes client connections over the store shards.
 type Server struct {
 	cfg    Config
 	store  Store
@@ -322,20 +298,15 @@ func New(rt persist.Runtime, store Store, cfg Config, tr *obs.Tracer) (*Server, 
 	for i := 0; i < store.NumShards(); i++ {
 		th, err := rt.NewThread()
 		if err != nil {
-			// Unwind the shard goroutines already started before the
-			// unreachable Server leaks them (and their persist threads).
-			srv.shutdown()
-			srv.wg.Wait()
 			return nil, fmt.Errorf("server: shard %d thread: %w", i, err)
 		}
 		sh := &shard{
-			srv:   srv,
-			idx:   i,
-			th:    th,
-			dev:   store.Device(),
-			in:    make(chan *slot, cfg.ShardQueue),
-			touch: make(chan [2]uint64, 64),
-			ring:  tr.ThreadRing(fmt.Sprintf("server/shard%d", i)),
+			srv:  srv,
+			idx:  i,
+			dev:  store.Device(),
+			mu:   make(chan struct{}, 1),
+			th:   th,
+			ring: tr.ThreadRing(fmt.Sprintf("server/shard%d", i)),
 		}
 		sh.fn = func() { sh.exec(sh.cur) }
 		sh.touchFn = func() {
@@ -343,8 +314,6 @@ func New(rt persist.Runtime, store Store, cfg Config, tr *obs.Tracer) (*Server, 
 		}
 		sh.evFn = func() { sh.evOK = sh.srv.store.EvictOne(sh.th, sh.idx) }
 		srv.shards = append(srv.shards, sh)
-		srv.wg.Add(1)
-		go sh.run()
 	}
 	if cfg.Metrics != nil {
 		srv.coll = cfg.Metrics
@@ -358,19 +327,10 @@ func New(rt persist.Runtime, store Store, cfg Config, tr *obs.Tracer) (*Server, 
 	return srv, nil
 }
 
-// Crashed is closed when a shard pipeline hit an injected device crash;
-// the server then shuts down as a crashed process would — abruptly,
-// leaving recovery to the next attach.
+// Crashed is closed when a FASE or fast read hit an injected device
+// crash; the server then shuts down as a crashed process would —
+// abruptly, leaving recovery to the next attach.
 func (srv *Server) Crashed() <-chan struct{} { return srv.crashc }
-
-// Stats snapshots the serve counters.
-func (srv *Server) Stats() Stats {
-	return Stats{
-		Reqs:     srv.reqs.Load(),
-		Batches:  srv.batches.Load(),
-		BytesOut: srv.bytesOut.Load(),
-	}
-}
 
 // MetricsSnapshot fills dst with the front end's gauges and counters —
 // the metrics.Source contract. dst's shard slice is reused whenever its
@@ -394,7 +354,7 @@ func (srv *Server) MetricsSnapshot(dst *metrics.ServerStats) {
 	dst.Shards = dst.Shards[:n]
 	for i, sh := range srv.shards {
 		d := &dst.Shards[i]
-		d.QueueDepth = int64(len(sh.in))
+		d.QueueDepth = int64(sh.waiting.Load())
 		d.InFlight = int64(sh.inflight.Load())
 		d.Reqs = sh.reqs.Load()
 		d.Gets = sh.verbs[0].Load()
@@ -435,19 +395,14 @@ func (srv *Server) ServeConn(nc net.Conn) error {
 		nc.Close()
 		return ErrServerClosed
 	}
-	nsh := len(srv.shards)
 	c := &conn{
-		srv:     srv,
-		nc:      nc,
-		ring:    make([]slot, srv.cfg.Ring),
-		free:    make(chan struct{}, srv.cfg.Ring),
-		cmpl:    make(chan struct{}, 1),
-		deadc:   make(chan struct{}),
-		wbuf:    make([]byte, 0, srv.cfg.WriteBuf),
-		schHead: make([]*slot, nsh),
-		schTail: make([]*slot, nsh),
-		schIdx:  make([]int32, 0, nsh),
-		wpend:   make([]atomic.Int32, nsh),
+		srv:   srv,
+		nc:    nc,
+		ring:  make([]slot, srv.cfg.Ring),
+		free:  make(chan struct{}, srv.cfg.Ring),
+		cmpl:  make(chan struct{}, 1),
+		deadc: make(chan struct{}),
+		wbuf:  make([]byte, 0, srv.cfg.WriteBuf),
 	}
 	srv.conns[c] = struct{}{}
 	srv.mu.Unlock()
@@ -563,7 +518,7 @@ func (srv *Server) shutdown() {
 	srv.mu.Unlock()
 }
 
-// noteCrash records an injected-crash death. Called from a shard
+// noteCrash records an injected-crash death. Called from a reader
 // goroutine, so it must not wait on the WaitGroup it is part of.
 func (srv *Server) noteCrash() {
 	srv.crashOnce.Do(func() {
@@ -588,7 +543,37 @@ func (srv *Server) dropConn(c *conn) {
 	c.nc.Close()
 }
 
-// ---- shard pipeline ----
+// ---- shard lock and FASE execution ----
+
+// lock acquires the shard lock, queueing FIFO behind earlier waiters;
+// false means the server stopped first. A FASE that dies with an
+// injected crash never releases the lock — as a crashed thread keeps
+// its iDO locks until recovery — so its waiters leave through stopc
+// once noteCrash closes it.
+func (sh *shard) lock() bool {
+	if sh.tryLock() {
+		return true
+	}
+	sh.waiting.Add(1)
+	defer sh.waiting.Add(-1)
+	select {
+	case sh.mu <- struct{}{}:
+		return true
+	case <-sh.srv.stopc:
+		return false
+	}
+}
+
+func (sh *shard) tryLock() bool {
+	select {
+	case sh.mu <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+func (sh *shard) unlock() { <-sh.mu }
 
 func (sh *shard) exec(s *slot) {
 	switch s.op {
@@ -603,43 +588,33 @@ func (sh *shard) exec(s *slot) {
 	}
 }
 
-func (sh *shard) run() {
-	defer sh.srv.wg.Done()
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(nvm.CrashSignal); ok {
-				sh.srv.noteCrash()
-				return
-			}
-			panic(r)
-		}
-	}()
-	mc := sh.srv.cfg.Proto == ProtoMemcache
-	for {
-		select {
-		case s := <-sh.in:
-			// A dispatch may carry a chain of sibling slots — the
-			// fallbacks of one scatter-gather multi-get bound here.
-			for s != nil {
-				nxt := s.next
-				s.next = nil
-				sh.serve(s, mc)
-				s = nxt
-			}
-		case k := <-sh.touch:
-			sh.drainTouch(k)
-		case <-sh.srv.stopc:
-			return
-		}
+// run executes a filled slot on the calling reader under its shard's
+// lock; false means the server is stopping. After a mutation with
+// another request already buffered behind it, the reader yields once,
+// so the shipper, standby and writer goroutines get the processor
+// between back-to-back FASEs of one pipelined connection. With nothing
+// buffered the reader blocks in Read next, which yields anyway.
+func (c *conn) run(s *slot) bool {
+	sh := c.srv.shards[s.shard]
+	if !sh.lock() {
+		return false
 	}
+	wr := s.op != opGet // read before serve: s may be recycled once complete
+	sh.serve(s, c.srv.cfg.Proto == ProtoMemcache)
+	sh.unlock()
+	if wr && c.more {
+		runtime.Gosched()
+	}
+	return true
 }
 
-// serve executes one slot's FASE and completes it. Mutating ops run
-// inside the shard's seqlock write section: the odd bump before Exec
-// tells fast readers a write is in flight, the even bump after — which
-// happens only once Exec has returned, i.e. after the FASE's final
-// fence — tells them the shard is quiescent again, and the ticket wake
-// releases any reader that parked on this commit.
+// serve executes one slot's FASE and completes it; the caller holds
+// the shard lock. Mutating ops run inside the shard's seqlock write
+// section: the odd bump before Exec tells fast readers a write is in
+// flight, the even bump after — which happens only once Exec has
+// returned, i.e. after the FASE's final fence — tells them the shard is
+// quiescent again, and the ticket wake releases any reader that parked
+// on this commit.
 func (sh *shard) serve(s *slot, mc bool) {
 	sh.inflight.Store(1)
 	sh.cur = s
@@ -652,10 +627,6 @@ func (sh *shard) serve(s *slot, mc bool) {
 	if wr {
 		sh.seq.Add(1)
 		sh.dev.WakeTicketWaiters()
-		// The write is applied and the epoch even again: release the
-		// owning connection's read-your-writes gate (before complete —
-		// the writer may recycle s the moment it is published).
-		s.c.wpend[sh.idx].Add(-1)
 	}
 	sh.inflight.Store(0)
 	sh.reqs.Add(1)
@@ -729,18 +700,23 @@ func (sh *shard) maybeEvict() {
 	}
 }
 
-// drainTouch retires one sampled LRU touch plus every batched read-stat
-// count as a single ordinary FASE. No seqlock bump: the touch FASE
-// writes only stat words (cmd_get/hits/iTime) that fast readers never
-// load, so it cannot invalidate a concurrent fast read.
-func (sh *shard) drainTouch(k [2]uint64) {
-	sh.tkey = k
+// tryTouch retires one sampled LRU touch plus every batched read-stat
+// count as a single ordinary FASE, if the shard lock is free; a busy
+// shard drops the touch. No seqlock bump: the touch FASE writes only
+// stat words (cmd_get/hits/iTime) that fast readers never load, so it
+// cannot invalidate a concurrent fast read.
+func (sh *shard) tryTouch(k0, k1 uint64) {
+	if !sh.tryLock() {
+		return
+	}
+	sh.tkey = [2]uint64{k0, k1}
 	sh.tgets = sh.pendGets.Swap(0)
 	sh.thits = sh.pendHits.Swap(0)
 	sh.inflight.Store(1)
 	sh.th.Exec(sh.touchFn)
 	sh.inflight.Store(0)
 	sh.touches.Add(1)
+	sh.unlock()
 }
 
 // complete publishes a finished slot to its connection writer: the done
@@ -776,20 +752,8 @@ func (c *conn) claim() (*slot, bool) {
 	return s, true
 }
 
-// dispatch hands a filled slot to its shard pipeline; false means the
-// server is stopping.
-func (c *conn) dispatch(s *slot) bool {
-	sh := c.srv.shards[s.shard]
-	select {
-	case sh.in <- s:
-		return true
-	case <-c.srv.stopc:
-		return false
-	}
-}
-
-// local completes a canned reply on the reader side without touching a
-// shard. Returns false (stop reading) for fatal replies.
+// local completes a canned reply without touching a shard. Returns
+// false (stop reading) for fatal replies.
 func (c *conn) local(reply string, fatal bool) bool {
 	if len(reply) > 0 {
 		// Every canned reply that is not VERSION (memcache) or +OK/+PONG
@@ -815,10 +779,10 @@ func (c *conn) local(reply string, fatal bool) bool {
 }
 
 // localStats answers an introspection verb (memcache `stats`, RESP
-// `INFO`) reader-side: the snapshot and its rendering happen on this
-// connection's goroutine, never a shard pipeline, and the body rides
-// the slot's overflow field since stats bodies outgrow resp. The only
-// allocation a stats request performs is its own response.
+// `INFO`) without touching a shard: the snapshot and its rendering
+// happen on this connection's goroutine, and the body rides the slot's
+// overflow field since stats bodies outgrow resp. The only allocation a
+// stats request performs is its own response.
 func (c *conn) localStats() bool {
 	s, ok := c.claim()
 	if !ok {
@@ -849,7 +813,7 @@ func (s *slot) fillKey(kb []byte) {
 	s.shard = int32(s.c.srv.store.ShardOf(s.k0, s.k1))
 }
 
-// sendOp claims, fills, and dispatches one store operation.
+// sendOp claims, fills, and runs one store operation.
 func (c *conn) sendOp(op uint8, kb []byte, val uint64, noreply, last bool, ts int64) bool {
 	s, ok := c.claim()
 	if !ok {
@@ -863,12 +827,8 @@ func (c *conn) sendOp(op uint8, kb []byte, val uint64, noreply, last bool, ts in
 	s.ts = ts
 	s.rlen = 0
 	s.mhdr = 0
-	s.next = nil
 	s.fillKey(kb)
-	if op != opGet {
-		c.wpend[s.shard].Add(1)
-	}
-	return c.dispatch(s)
+	return c.run(s)
 }
 
 // fastGet runs the optimistic lock-free read protocol against one
@@ -877,10 +837,11 @@ func (c *conn) sendOp(op uint8, kb []byte, val uint64, noreply, last bool, ts in
 // flight — instead of re-walking hot, the reader parks on the device's
 // next commit ticket, cancelled by the epoch itself in case the FASE's
 // fence already landed before the even bump. Bounded attempts; ok=false
-// tells the caller to fall back to the slot path. A successful return
-// was validated under an even, unchanged epoch, so the data it reports
-// was produced by a completed FASE, whose Exec return implies its final
-// persist fence: acked ⇒ durable holds with zero fences on this path.
+// tells the caller to fall back to a read FASE under the shard lock. A
+// successful return was validated under an even, unchanged epoch, so the
+// data it reports was produced by a completed FASE, whose Exec return
+// implies its final persist fence: acked ⇒ durable holds with zero
+// fences on this path.
 func (c *conn) fastGet(sh *shard, k0, k1 uint64) (v uint64, hit, ok bool) {
 	for attempt := 0; attempt < 4; attempt++ {
 		s1 := sh.seq.Load()
@@ -899,14 +860,11 @@ func (c *conn) fastGet(sh *shard, k0, k1 uint64) (v uint64, hit, ok bool) {
 	return 0, false, false
 }
 
-// sendGets serves a (multi-)get. Slots are claimed in key order — ring
-// order is emission order, so the gather side comes for free: the
-// writer already emits in claim order regardless of which side
-// completed each slot. Every key first tries the fast lane and, on
-// success, completes immediately on this goroutine with no dispatch at
-// all. Fallbacks are chained per shard through slot.next and handed
-// over as one batched dispatch per shard (the scatter), so an N-key
-// multi-get costs at most min(N, shards) queue sends instead of N.
+// sendGets serves a (multi-)get, one key after another in request
+// order, each in its own slot: the ring-order writer then emits the
+// replies in request order. Every key first tries the fast lane and, on
+// success, completes at once with no shard lock; a key the fast lane
+// cannot serve runs as a read FASE under its shard's lock.
 func (c *conn) sendGets(raw []byte, keys [][2]int, mget bool, ts int64) bool {
 	mc := c.srv.cfg.Proto == ProtoMemcache
 	fast := !c.srv.cfg.DisableFastReads
@@ -923,14 +881,13 @@ func (c *conn) sendGets(raw []byte, keys [][2]int, mget bool, ts int64) bool {
 		s.val = 0
 		s.ts = ts
 		s.rlen = 0
-		s.next = nil
 		s.mhdr = 0
 		if mget && i == 0 {
 			s.mhdr = int32(len(keys))
 		}
 		s.fillKey(raw[keys[i][0]:keys[i][1]])
 		sh := c.srv.shards[s.shard]
-		if fast && c.wpend[s.shard].Load() == 0 {
+		if fast {
 			if v, hit, fok := c.fastGet(sh, s.k0, s.k1); fok {
 				s.vOut, s.okOut = v, hit
 				sh.reqs.Add(1)
@@ -941,19 +898,15 @@ func (c *conn) sendGets(raw []byte, keys [][2]int, mget bool, ts int64) bool {
 				} else {
 					sh.misses.Add(1)
 				}
+				touch := false
 				if mc {
 					// Batch the durable read stats; sample 1 in 16 hits
-					// for an LRU touch, dropped when the ring is full.
+					// for an LRU touch.
 					sh.pendGets.Add(1)
 					if hit {
 						sh.pendHits.Add(1)
 						c.touchN++
-						if c.touchN&15 == 0 {
-							select {
-							case sh.touch <- [2]uint64{s.k0, s.k1}:
-							default:
-							}
-						}
+						touch = c.touchN&15 == 0
 					}
 					encodeMcReply(s)
 				} else {
@@ -962,28 +915,21 @@ func (c *conn) sendGets(raw []byte, keys [][2]int, mget bool, ts int64) bool {
 				if tr != nil {
 					tr.DevEmit(obs.KNetFastGet, s.k0, uint64(s.shard))
 				}
+				// Touch after completing, so the reply never waits on
+				// the touch FASE; s may be recycled once complete.
+				k0, k1 := s.k0, s.k1
 				complete(s)
+				if touch {
+					sh.tryTouch(k0, k1)
+				}
 				continue
 			}
 		}
-		if c.schHead[s.shard] == nil {
-			c.schHead[s.shard] = s
-			c.schIdx = append(c.schIdx, s.shard)
-		} else {
-			c.schTail[s.shard].next = s
-		}
-		c.schTail[s.shard] = s
-	}
-	ok := true
-	for _, si := range c.schIdx {
-		head := c.schHead[si]
-		c.schHead[si], c.schTail[si] = nil, nil
-		if ok {
-			ok = c.dispatch(head)
+		if !c.run(s) {
+			return false
 		}
 	}
-	c.schIdx = c.schIdx[:0]
-	return ok
+	return true
 }
 
 func (c *conn) dispatchMc(f *mcFrame, raw []byte, ts int64) bool {
@@ -1027,9 +973,9 @@ func (c *conn) readLoop() {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(nvm.CrashSignal); ok {
-				// A fast read hit the injected crash — a device load or
-				// ticket park on this goroutine touched the device the
-				// moment it died. Fall like a shard pipeline does.
+				// A FASE, fast read or ticket park on this goroutine
+				// touched the device the moment it died. A FASE's shard
+				// lock stays held (see shard.lock).
 				c.srv.noteCrash()
 				return
 			}
@@ -1049,12 +995,14 @@ func (c *conn) readLoop() {
 				var f mcFrame
 				f, n, err = parseMemcache(buf[start:end])
 				if err == nil {
+					c.more = start+n < end
 					cont = c.dispatchMc(&f, buf[start:start+n], ts)
 				}
 			} else {
 				var f respFrame
 				f, n, err = parseRESP(buf[start:end])
 				if err == nil {
+					c.more = start+n < end
 					cont = c.dispatchResp(&f, buf[start:start+n], ts)
 				}
 			}
