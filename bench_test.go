@@ -34,7 +34,7 @@ import (
 
 // benchConfig is the same cost model the idobench harness uses.
 func benchConfig(size int) nvm.Config {
-	return nvm.Config{Size: size, FlushNS: 50, FenceNS: 400, NTStoreNS: 150}
+	return nvm.Config{Size: size, FlushNS: 50, FenceNS: 400, NTStoreNS: 150, Crash: new(nvm.Injector)}
 }
 
 func mkRuntime(name string) persist.Runtime {
@@ -266,12 +266,11 @@ func BenchmarkTable1Recovery(b *testing.B) {
 			s.Push(t, uint64(i))
 		}
 		// Kill mid-FASE for realism: arm a tiny budget and push once.
-		nvm.ArmCrash(25)
+		reg.Dev.Injector().Arm(25)
 		func() {
 			defer func() { recover() }()
 			s.Push(t, 1)
 		}()
-		nvm.ArmCrash(-1)
 		reg.Dev.Crash(nvm.CrashRandom, rand.New(rand.NewSource(1)))
 		reg2, err := region.Attach(reg.Dev)
 		if err != nil {

@@ -21,7 +21,8 @@ import (
 )
 
 func main() {
-	reg := region.Create(64<<20, nvm.Config{Size: 64 << 20})
+	power := new(nvm.Injector) // this machine's power supply
+	reg := region.Create(64<<20, nvm.Config{Size: 64 << 20, Crash: power})
 	lm := locks.NewManager(reg)
 	rt := core.New(core.DefaultConfig())
 	if err := rt.Attach(reg, lm); err != nil {
@@ -47,7 +48,7 @@ func main() {
 		threads[i] = t
 	}
 	rng := rand.New(rand.NewSource(7))
-	nvm.ArmCrash(int64(20000 + rng.Intn(40000)))
+	power.Arm(int64(20000 + rng.Intn(40000)))
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
@@ -69,7 +70,6 @@ func main() {
 		}(g)
 	}
 	wg.Wait()
-	nvm.ArmCrash(-1)
 	total := 0
 	for _, c := range completed {
 		total += len(c)

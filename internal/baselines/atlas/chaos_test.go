@@ -89,9 +89,9 @@ func TestTornCountDoesNotResurrectStaleEntry(t *testing.T) {
 // so whatever prefix of the pass survives, re-running it must leave the
 // same final state and empty logs.
 func TestRecoverTruncationIsReentrant(t *testing.T) {
-	defer nvm.ArmCrash(-1)
 	for budget := int64(1); ; budget++ {
-		reg := region.Create(1<<20, nvm.Config{})
+		inj := new(nvm.Injector)
+		reg := region.Create(1<<20, nvm.Config{Crash: inj})
 		lm := locks.NewManager(reg)
 		rt := New(Config{Retain: true})
 		if err := rt.Attach(reg, lm); err != nil {
@@ -127,7 +127,7 @@ func TestRecoverTruncationIsReentrant(t *testing.T) {
 		if err := rt2.Attach(reg2, locks.NewManager(reg2)); err != nil {
 			t.Fatal(err)
 		}
-		nvm.ArmRecoveryCrash(budget)
+		inj.ArmRecovery(budget)
 		crashed := func() (c bool) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -143,7 +143,7 @@ func TestRecoverTruncationIsReentrant(t *testing.T) {
 			}
 			return false
 		}()
-		nvm.ArmCrash(-1)
+		inj.Arm(-1)
 		if !crashed {
 			if budget == 1 {
 				t.Fatal("budget 1 did not crash: recovery-scoped injection is not reaching atlas Recover")

@@ -86,9 +86,9 @@ func TestTornCountDoesNotRevertCommittedData(t *testing.T) {
 // outcome: the undo application is fenced durable before the truncation
 // store, so the pass can die anywhere and be re-run.
 func TestRecoverIsReentrant(t *testing.T) {
-	defer nvm.ArmCrash(-1)
 	for budget := int64(1); ; budget++ {
-		reg := region.Create(1<<20, nvm.Config{})
+		inj := new(nvm.Injector)
+		reg := region.Create(1<<20, nvm.Config{Crash: inj})
 		rt := New()
 		if err := rt.Attach(reg, nil); err != nil {
 			t.Fatal(err)
@@ -119,7 +119,7 @@ func TestRecoverIsReentrant(t *testing.T) {
 		if err := rt2.Attach(reg2, nil); err != nil {
 			t.Fatal(err)
 		}
-		nvm.ArmRecoveryCrash(budget)
+		inj.ArmRecovery(budget)
 		crashed := func() (c bool) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -134,7 +134,7 @@ func TestRecoverIsReentrant(t *testing.T) {
 			}
 			return false
 		}()
-		nvm.ArmCrash(-1)
+		inj.Arm(-1)
 		if !crashed {
 			if budget == 1 {
 				t.Fatal("budget 1 did not crash: recovery-scoped injection is not reaching nvml Recover")

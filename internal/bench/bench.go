@@ -56,7 +56,8 @@ type Options struct {
 	// co-scheduled point steals cycles from the one being timed; raise it
 	// to overlap construction and warm-up when sweeping a large grid.
 	// Crash-injection experiments (Table I, recovery ablations) ignore it
-	// and stay serial: the injection arming is process-global.
+	// and stay serial: they time recovery, which a co-scheduled point
+	// would distort. (Their worlds share no crash injector.)
 	Workers int
 	// WorldTracer, when non-nil, supplies the tracer for each world from
 	// the point's label (e.g. "fig5a/ido/t4"), so a parallel sweep can
@@ -142,7 +143,8 @@ func (o Options) out() io.Writer {
 // costs — fence and flush counts — dominate relative results, as they do
 // on hardware; see EXPERIMENTS.md. extraNS is the Fig. 9 knob: an added
 // delay charged at each write-back and NT store, exactly where the paper
-// inserts its nop loops.
+// inserts its nop loops. Each config carries its own crash injector, so
+// every world is a machine of its own.
 func nvmConfig(bytes, extraNS int) nvm.Config {
 	return nvm.Config{
 		Size:      bytes,
@@ -150,6 +152,7 @@ func nvmConfig(bytes, extraNS int) nvm.Config {
 		FenceNS:   400,
 		NTStoreNS: 150,
 		ExtraNS:   extraNS,
+		Crash:     new(nvm.Injector),
 	}
 }
 

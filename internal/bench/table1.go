@@ -162,8 +162,8 @@ func recoveryTime(o Options, rtName, structure string, threads int, kill time.Du
 
 	// Run workers until the kill time, then pull the plug. Injection is
 	// armed (with an unreachable budget) BEFORE the workers start so lock
-	// waiters use the crash-aware spin path; TriggerCrash then kills
-	// every thread at its next memory access or lock-spin check.
+	// waiters use the crash-aware spin path; Trigger then kills every
+	// thread at its next memory access or lock-spin check.
 	done := make(chan struct{}, threads)
 	ths := make([]persist.Thread, threads)
 	for i := range ths {
@@ -173,7 +173,8 @@ func recoveryTime(o Options, rtName, structure string, threads int, kill time.Du
 		}
 		ths[i] = t
 	}
-	nvm.ArmCrash(1 << 62)
+	inj := w.reg.Dev.Injector()
+	inj.Arm(1 << 62)
 	for i := 0; i < threads; i++ {
 		go func(i int) {
 			defer func() { done <- struct{}{} }()
@@ -192,11 +193,10 @@ func recoveryTime(o Options, rtName, structure string, threads int, kill time.Du
 		}(i)
 	}
 	time.Sleep(kill)
-	nvm.TriggerCrash() // SIGKILL
+	inj.Trigger() // SIGKILL
 	for i := 0; i < threads; i++ {
 		<-done
 	}
-	nvm.ArmCrash(-1)
 	w.reg.Dev.Crash(nvm.CrashRandom, rand.New(rand.NewSource(crashSeedFor(o.seed(), rtName, structure, kill))))
 
 	// Process restart: reattach and recover under the same system.

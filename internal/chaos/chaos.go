@@ -28,8 +28,9 @@
 // through ParseSchedule and is accepted by `idorecover -chaos -replay`,
 // so any failure a sweep prints can be reproduced in isolation.
 //
-// Crash injection is process-global (internal/nvm/inject.go), so Run,
-// the probes, and Sweep must not be called concurrently.
+// Every Run, oracle and probe crashes its own device through its own
+// nvm.Injector, so schedules share no injection state and may run
+// concurrently.
 package chaos
 
 import (
@@ -137,7 +138,7 @@ func ParseSchedule(s string) (Schedule, error) {
 	if len(sc.Recovery) > MaxDepth {
 		return Schedule{}, fmt.Errorf("chaos: schedule %q: %d recovery budgets exceeds max nesting depth %d", s, len(sc.Recovery), MaxDepth)
 	}
-	if _, _, err := newDriver(sc); err != nil {
+	if _, _, err := newDriver(sc, nil); err != nil {
 		return Schedule{}, err
 	}
 	return sc, nil
@@ -147,7 +148,7 @@ func ParseSchedule(s string) (Schedule, error) {
 // passes a nested crash cut short (their audit is lost with the pass;
 // the index and budget still attribute the crash point).
 type Attempt struct {
-	Index   int   // process recovery-pass index since the run started, 0-based
+	Index   int   // recovery-pass index on the run's injector, 0-based
 	Budget  int64 // armed recovery crash budget; -1 for the final clean pass
 	Crashed bool  // the armed budget fired inside this pass
 	Err     string
@@ -233,22 +234,21 @@ func Runtimes() []string {
 // gcSuffix selects group-commit mode on a runtime name.
 const gcSuffix = "-gc"
 
-// chaosNVMConfig builds the device config for a schedule. Group-commit
-// schedules force combining so the combiner path (slot publish, leader
-// election, merged fence) is on every commit's event sequence, not just
-// when threads happen to overlap.
-func chaosNVMConfig(gc bool) nvm.Config {
-	if !gc {
-		return nvm.Config{}
-	}
-	return nvm.Config{GroupCommit: nvm.GroupCommitConfig{Enabled: true, ForceCombine: true}}
+// chaosNVMConfig builds the device config for a schedule, crashed
+// through inj. Group-commit schedules force combining so the combiner
+// path (slot publish, leader election, merged fence) is on every
+// commit's event sequence, not just when threads happen to overlap.
+func chaosNVMConfig(gc bool, inj *nvm.Injector) nvm.Config {
+	return nvm.Config{Crash: inj, GroupCommit: nvm.GroupCommitConfig{Enabled: gc, ForceCombine: gc}}
 }
 
-func newDriver(s Schedule) (driver, caps, error) {
+// newDriver builds the schedule's driver over devices crashed through
+// inj (nil only to validate a schedule, which creates no device).
+func newDriver(s Schedule, inj *nvm.Injector) (driver, caps, error) {
 	if strings.HasPrefix(s.Runtime, "vm-") {
-		return newVMDriver(s)
+		return newVMDriver(s, inj)
 	}
-	return newNativeDriver(s)
+	return newNativeDriver(s, inj)
 }
 
 // catchCrash runs fn, converting an injected nvm.CrashSignal panic into
@@ -270,7 +270,8 @@ func catchCrash(fn func() error) (crashed bool, err error) {
 // Failures wrap the schedule string so they can be replayed with
 // `idorecover -chaos -replay '<schedule>'`.
 func Run(s Schedule) (*Result, error) {
-	d, c, err := newDriver(s)
+	inj := new(nvm.Injector)
+	d, c, err := newDriver(s, inj)
 	if err != nil {
 		return nil, err
 	}
@@ -303,15 +304,12 @@ func Run(s Schedule) (*Result, error) {
 	}
 
 	res := &Result{Schedule: s, Oracle: oracle, PersistAll: oraclePA}
-	defer nvm.ArmCrash(-1)
-	nvm.ResetRecoveryPasses()
-
 	if err := d.prepare(s.Seed); err != nil {
 		return nil, fmt.Errorf("chaos: schedule %s: prepare: %w", s, err)
 	}
-	nvm.ArmCrash(s.Forward)
+	inj.Arm(s.Forward)
 	crashed, ferr := catchCrash(d.forward)
-	nvm.ArmCrash(-1)
+	inj.Arm(-1)
 	if ferr != nil {
 		return nil, fmt.Errorf("chaos: schedule %s: forward workload: %w", s, ferr)
 	}
@@ -326,10 +324,10 @@ func Run(s Schedule) (*Result, error) {
 		}
 		var st persist.RecoveryStats
 		var rerr error
-		nvm.ArmRecoveryCrash(r)
+		inj.ArmRecovery(r)
 		crashed, _ := catchCrash(func() error { st, rerr = d.recover(); return nil })
-		nvm.ArmCrash(-1)
-		at := Attempt{Index: nvm.RecoveryPasses() - 1, Budget: r, Crashed: crashed}
+		inj.Arm(-1)
+		at := Attempt{Index: inj.RecoveryPasses() - 1, Budget: r, Crashed: crashed}
 		if !crashed {
 			at.Audit = st.Audit
 			if rerr != nil {
@@ -356,7 +354,7 @@ func Run(s Schedule) (*Result, error) {
 		return nil, fmt.Errorf("chaos: schedule %s: final reopen: %w", s, err)
 	}
 	st, rerr := d.recover()
-	at := Attempt{Index: nvm.RecoveryPasses() - 1, Budget: -1}
+	at := Attempt{Index: inj.RecoveryPasses() - 1, Budget: -1}
 	if rerr != nil {
 		at.Err = rerr.Error()
 		if !c.recoverErr {
@@ -395,17 +393,17 @@ func Run(s Schedule) (*Result, error) {
 }
 
 func runOracle(s Schedule, c caps, mode nvm.CrashMode) (map[string]uint64, error) {
-	d, _, err := newDriver(s)
+	inj := new(nvm.Injector)
+	d, _, err := newDriver(s, inj)
 	if err != nil {
 		return nil, err
 	}
-	defer nvm.ArmCrash(-1)
 	if err := d.prepare(s.Seed); err != nil {
 		return nil, fmt.Errorf("chaos: schedule %s: oracle prepare: %w", s, err)
 	}
-	nvm.ArmCrash(s.Forward)
+	inj.Arm(s.Forward)
 	crashed, ferr := catchCrash(d.forward)
-	nvm.ArmCrash(-1)
+	inj.Arm(-1)
 	if ferr != nil {
 		return nil, fmt.Errorf("chaos: schedule %s: oracle workload: %w", s, ferr)
 	}
@@ -496,18 +494,17 @@ const probeBudget = int64(1) << 40
 // for Schedule.Forward (every budget in 1..K-1 crashes mid-workload; at
 // K or beyond the workload finishes first).
 func ForwardEvents(s Schedule) (int64, error) {
-	d, _, err := newDriver(s)
+	inj := new(nvm.Injector)
+	d, _, err := newDriver(s, inj)
 	if err != nil {
 		return 0, err
 	}
-	defer nvm.ArmCrash(-1)
 	if err := d.prepare(s.Seed); err != nil {
 		return 0, err
 	}
-	nvm.ArmCrash(probeBudget)
+	inj.Arm(probeBudget)
 	crashed, ferr := catchCrash(d.forward)
-	n := probeBudget - nvm.CrashBudgetRemaining()
-	nvm.ArmCrash(-1)
+	n := probeBudget - inj.Remaining()
 	if ferr != nil {
 		return 0, ferr
 	}
@@ -522,17 +519,17 @@ func ForwardEvents(s Schedule) (int64, error) {
 // recovery) — the bound M for the first Recovery budget. Returns 0 for
 // runtimes whose Recover refuses or performs no device events.
 func RecoveryEvents(s Schedule) (int64, error) {
-	d, c, err := newDriver(s)
+	inj := new(nvm.Injector)
+	d, c, err := newDriver(s, inj)
 	if err != nil {
 		return 0, err
 	}
-	defer nvm.ArmCrash(-1)
 	if err := d.prepare(s.Seed); err != nil {
 		return 0, err
 	}
-	nvm.ArmCrash(s.Forward)
+	inj.Arm(s.Forward)
 	crashed, ferr := catchCrash(d.forward)
-	nvm.ArmCrash(-1)
+	inj.Arm(-1)
 	if ferr != nil {
 		return 0, ferr
 	}
@@ -543,11 +540,10 @@ func RecoveryEvents(s Schedule) (int64, error) {
 	if err := d.reopen(s.Mode, rng); err != nil {
 		return 0, err
 	}
-	nvm.ArmRecoveryCrash(probeBudget)
+	inj.ArmRecovery(probeBudget)
 	var rerr error
 	crashed, _ = catchCrash(func() error { _, rerr = d.recover(); return nil })
-	n := probeBudget - nvm.CrashBudgetRemaining()
-	nvm.ArmCrash(-1)
+	n := probeBudget - inj.Remaining()
 	if crashed {
 		return 0, fmt.Errorf("chaos: probe budget fired after %d recovery events", n)
 	}

@@ -3,14 +3,13 @@ package chaos
 import (
 	"reflect"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/ido-nvm/ido/internal/nvm"
 )
-
-// Crash injection is process-global, so no test here may call
-// t.Parallel.
 
 func pick(full, short int) int {
 	if testing.Short() {
@@ -20,6 +19,7 @@ func pick(full, short int) int {
 }
 
 func TestScheduleStringRoundTrip(t *testing.T) {
+	t.Parallel()
 	for _, s := range []Schedule{
 		{Runtime: "ido", Workload: "counter", Mode: nvm.CrashRandom, Seed: 7, Forward: 12, Recovery: []int64{3, 5}},
 		{Runtime: "vm-ido", Workload: "mapput", Mode: nvm.CrashDiscard, Seed: 1, Forward: 99},
@@ -36,6 +36,7 @@ func TestScheduleStringRoundTrip(t *testing.T) {
 }
 
 func TestParseScheduleRejects(t *testing.T) {
+	t.Parallel()
 	for _, bad := range []string{
 		"ido:counter:random:7:12",           // missing field
 		"ido:counter:sideways:7:12:-",       // unknown mode
@@ -59,8 +60,10 @@ func TestParseScheduleRejects(t *testing.T) {
 // supported adversary, plus sampled depth-2/3 nesting, each schedule
 // verified against the CrashPersistAll oracle.
 func TestSweepAllRuntimes(t *testing.T) {
+	t.Parallel()
 	for _, rt := range Runtimes() {
 		t.Run(rt, func(t *testing.T) {
+			t.Parallel()
 			st, err := Sweep(SweepOptions{
 				Runtime:        rt,
 				ForwardPoints:  pick(10, 4),
@@ -96,8 +99,10 @@ func TestSweepAllRuntimes(t *testing.T) {
 // log list), so the depth is deterministic, and the per-nesting-level
 // attempt indices must come out 0,1,2,3.
 func TestNestedDepth3Converges(t *testing.T) {
+	t.Parallel()
 	for _, rt := range []string{"ido", "atlas", "mnemosyne", "nvthreads", "nvml", "vm-ido", "vm-justdo"} {
 		t.Run(rt, func(t *testing.T) {
+			t.Parallel()
 			base := Schedule{Runtime: rt, Workload: DefaultWorkload(rt), Mode: nvm.CrashRandom, Seed: 42, Forward: 1}
 			k, err := ForwardEvents(base)
 			if err != nil {
@@ -137,11 +142,31 @@ func TestNestedDepth3Converges(t *testing.T) {
 	}
 }
 
+// restoreGoroutines counts the live goroutines a parallel restore (core
+// or VM Recover) launched. Counting only these, not the process total,
+// keeps the leak check valid while other tests run alongside.
+func restoreGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	st := string(buf)
+	return strings.Count(st, "created by github.com/ido-nvm/ido/internal/core.(*Runtime).Recover") +
+		strings.Count(st, "created by github.com/ido-nvm/ido/internal/vm.(*Machine).Recover")
+}
+
 // TestNestedCrashLeaksNoGoroutines covers the drained-gate fix in both
 // parallel-restore runtimes (core and the VM) at the harness level:
 // repeated nested recovery crashes must not strand restore goroutines.
+// Restores of tests running alongside are transient, so the check waits
+// for a moment with none live.
 func TestNestedCrashLeaksNoGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
+	t.Parallel()
 	for _, rt := range []string{"ido", "vm-ido"} {
 		s := Schedule{Runtime: rt, Workload: DefaultWorkload(rt), Mode: nvm.CrashDiscard, Seed: 3, Forward: 5, Recovery: []int64{0, 0, 0}}
 		for i := 0; i < pick(8, 3); i++ {
@@ -152,9 +177,9 @@ func TestNestedCrashLeaksNoGoroutines(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > base+2 {
+	for n := restoreGoroutines(); n > 0; n = restoreGoroutines() {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines above baseline %d after nested-crash schedules", runtime.NumGoroutine()-base, base)
+			t.Fatalf("%d restore goroutines still live after nested-crash schedules", n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -176,6 +201,7 @@ func TestNestedCrashLeaksNoGoroutines(t *testing.T) {
 // forward range; pre-fix it fails the bucket/chain invariants or the
 // lock-table check.
 func TestJUSTDOParamRegisterReplay(t *testing.T) {
+	t.Parallel()
 	base := Schedule{Runtime: "vm-justdo", Workload: "mapput", Mode: nvm.CrashPersistAll, Seed: 1}
 	k, err := ForwardEvents(base)
 	if err != nil {
@@ -202,6 +228,7 @@ func TestJUSTDOParamRegisterReplay(t *testing.T) {
 // every adversary, including nested recovery crashes — plus one
 // deterministic depth-1 schedule per other supported runtime.
 func TestCacheMixSweep(t *testing.T) {
+	t.Parallel()
 	st, err := Sweep(SweepOptions{
 		Runtime:        "ido",
 		Workload:       "cachemix",
@@ -245,22 +272,26 @@ func TestCacheMixSweep(t *testing.T) {
 // event under the discard adversary (the sweep's coarser stride can
 // miss it).
 func TestPCPublishSingleEvent(t *testing.T) {
+	t.Parallel()
 	for _, base := range []Schedule{
 		{Runtime: "ido", Workload: "counter", Mode: nvm.CrashDiscard, Seed: 1},
 		{Runtime: "vm-ido", Workload: "mapput", Mode: nvm.CrashDiscard, Seed: 1},
 		{Runtime: "vm-justdo", Workload: "mapput", Mode: nvm.CrashDiscard, Seed: 1},
 	} {
-		k, err := ForwardEvents(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for f, stride := int64(1), int64(pick(1, 7)); f < k; f += stride {
-			s := base
-			s.Forward = f
-			if _, err := Run(s); err != nil {
-				t.Fatalf("replay with: idorecover -chaos -replay '%s': %v", s, err)
+		t.Run(base.Runtime, func(t *testing.T) {
+			t.Parallel()
+			k, err := ForwardEvents(base)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			for f, stride := int64(1), int64(pick(1, 7)); f < k; f += stride {
+				s := base
+				s.Forward = f
+				if _, err := Run(s); err != nil {
+					t.Fatalf("replay with: idorecover -chaos -replay '%s': %v", s, err)
+				}
+			}
+		})
 	}
 }
 
@@ -275,6 +306,7 @@ func TestPCPublishSingleEvent(t *testing.T) {
 // back link). The log now gets pages of its own; this strides crash
 // points across the whole forward range to keep the window covered.
 func TestNVThreadsCommitSelfClobber(t *testing.T) {
+	t.Parallel()
 	base := Schedule{Runtime: "nvthreads", Workload: "cachemix", Mode: nvm.CrashPersistAll, Seed: 7}
 	k, err := ForwardEvents(base)
 	if err != nil {
@@ -304,6 +336,7 @@ func TestNVThreadsCommitSelfClobber(t *testing.T) {
 // bounded deficit fails the Run. The VM variant strides (its forward
 // range is ~7x longer); -short strides both.
 func TestGroupCommitDenseDiscard(t *testing.T) {
+	t.Parallel()
 	for _, tc := range []struct {
 		base   Schedule
 		stride int64
@@ -312,6 +345,7 @@ func TestGroupCommitDenseDiscard(t *testing.T) {
 		{Schedule{Runtime: "vm-ido-gc", Workload: "mapput", Mode: nvm.CrashDiscard, Seed: 1}, int64(pick(3, 29))},
 	} {
 		t.Run(tc.base.Runtime, func(t *testing.T) {
+			t.Parallel()
 			k, err := ForwardEvents(tc.base)
 			if err != nil {
 				t.Fatal(err)
@@ -338,6 +372,7 @@ func TestGroupCommitDenseDiscard(t *testing.T) {
 // verify per-schedule; here we pin the cheap end-to-end identity: a
 // crash-free run's observables are identical.
 func TestGroupCommitMatchesDirectObservables(t *testing.T) {
+	t.Parallel()
 	for _, pair := range [][2]string{
 		{"ido", "ido-gc"},
 		{"mnemosyne", "mnemosyne-gc"},
@@ -376,6 +411,7 @@ func TestGroupCommitMatchesDirectObservables(t *testing.T) {
 // TestRunRejectsUnsupportedMode: runtimes without recovery are only
 // comparable to the oracle under persist-all.
 func TestRunRejectsUnsupportedMode(t *testing.T) {
+	t.Parallel()
 	for _, rt := range []string{"origin", "vm-origin"} {
 		s := Schedule{Runtime: rt, Workload: DefaultWorkload(rt), Mode: nvm.CrashDiscard, Seed: 1, Forward: 3}
 		if _, err := Run(s); err == nil {
@@ -386,7 +422,10 @@ func TestRunRejectsUnsupportedMode(t *testing.T) {
 
 // TestReplayIsDeterministic: the String form replays to the identical
 // observation, which is what makes a printed failing tuple actionable.
+// The replays run in several goroutines at once and must each match the
+// serial first run, so concurrent schedules share no injection state.
 func TestReplayIsDeterministic(t *testing.T) {
+	t.Parallel()
 	s := Schedule{Runtime: "ido", Workload: "counter", Mode: nvm.CrashRandom, Seed: 99, Forward: 17, Recovery: []int64{4, 2}}
 	first, err := Run(s)
 	if err != nil {
@@ -396,19 +435,26 @@ func TestReplayIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := Run(parsed)
-	if err != nil {
-		t.Fatal(err)
+	replays := make([]*Result, 4)
+	errs := make([]error, len(replays))
+	var wg sync.WaitGroup
+	for i := range replays {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			replays[i], errs[i] = Run(parsed)
+		}(i)
 	}
-	if !reflect.DeepEqual(first.Final, second.Final) {
-		t.Fatalf("replay diverged: %v vs %v", first.Final, second.Final)
-	}
-	if len(first.Attempts) != len(second.Attempts) {
-		t.Fatalf("replay attempt counts differ: %d vs %d", len(first.Attempts), len(second.Attempts))
-	}
-	for i := range first.Attempts {
-		if first.Attempts[i].Crashed != second.Attempts[i].Crashed {
-			t.Fatalf("replay attempt %d crash outcome differs", i)
+	wg.Wait()
+	for i, r := range replays {
+		if errs[i] != nil {
+			t.Fatalf("replay %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(first.Final, r.Final) {
+			t.Fatalf("replay %d diverged: %v vs %v", i, first.Final, r.Final)
+		}
+		if !reflect.DeepEqual(first.Attempts, r.Attempts) {
+			t.Fatalf("replay %d attempts differ: %+v vs %+v", i, first.Attempts, r.Attempts)
 		}
 	}
 }

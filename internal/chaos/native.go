@@ -45,9 +45,9 @@ const (
 // nativeDriver runs a persist.Runtime implementation directly (no VM)
 // over one of the native workloads.
 type nativeDriver struct {
-	s  Schedule
-	mk func() persist.Runtime
-	gc bool // run the device with the forced group-commit combiner
+	s   Schedule
+	mk  func() persist.Runtime
+	cfg nvm.Config // device config: group commit and crash injector
 
 	reg  *region.Region
 	lm   *locks.Manager
@@ -57,7 +57,7 @@ type nativeDriver struct {
 	ctr  [2]uint64
 }
 
-func newNativeDriver(s Schedule) (driver, caps, error) {
+func newNativeDriver(s Schedule, inj *nvm.Injector) (driver, caps, error) {
 	// A "-gc" suffix selects the same runtime over a group-commit
 	// device. Only the runtimes whose commit epilogues issue batchable
 	// persists (PersistBatch/FenceBatch) have a gc variant.
@@ -75,7 +75,7 @@ func newNativeDriver(s Schedule) (driver, caps, error) {
 	}
 	switch s.Workload {
 	case "counter":
-		return &nativeDriver{s: s, mk: mk, gc: gc}, c, nil
+		return &nativeDriver{s: s, mk: mk, cfg: chaosNVMConfig(gc, inj)}, c, nil
 	case "cachemix":
 		// The delete-heavy memcache script needs recovery that completes
 		// (or wholly discards) the in-flight FASE: a torn chain unlink is
@@ -86,7 +86,7 @@ func newNativeDriver(s Schedule) (driver, caps, error) {
 		default:
 			return nil, caps{}, fmt.Errorf("chaos: runtime %s: workload \"cachemix\" needs FASE-exact recovery (supported on ido|mnemosyne|nvthreads)", s.Runtime)
 		}
-		return &cacheDriver{s: s, mk: mk, gc: gc}, c, nil
+		return &cacheDriver{s: s, mk: mk, cfg: chaosNVMConfig(gc, inj)}, c, nil
 	}
 	return nil, caps{}, fmt.Errorf("chaos: runtime %s: unknown workload %q (native runtimes run \"counter\" or \"cachemix\")", s.Runtime, s.Workload)
 }
@@ -131,7 +131,7 @@ func nativeRuntime(name string) (func() persist.Runtime, caps, error) {
 }
 
 func (d *nativeDriver) prepare(seed int64) error {
-	d.reg = region.Create(1<<20, chaosNVMConfig(d.gc))
+	d.reg = region.Create(1<<20, d.cfg)
 	d.lm = locks.NewManager(d.reg)
 	d.rt = d.mk()
 	if err := d.rt.Attach(d.reg, d.lm); err != nil {

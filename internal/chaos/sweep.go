@@ -70,7 +70,7 @@ func Sweep(o SweepOptions) (SweepStats, error) {
 		o.DeepSamples = 4
 	}
 	base := Schedule{Runtime: o.Runtime, Workload: o.Workload, Mode: nvm.CrashPersistAll, Seed: o.Seed, Forward: 1}
-	_, c, err := newDriver(base)
+	_, c, err := newDriver(base, nil)
 	if err != nil {
 		return st, err
 	}

@@ -39,7 +39,7 @@ func compiledProg() (*compile.Compiled, error) {
 type vmDriver struct {
 	s    Schedule
 	mode vm.Mode
-	gc   bool // run the device with the forced group-commit combiner
+	cfg  nvm.Config // device config: group commit and crash injector
 
 	reg *region.Region
 	lm  *locks.Manager
@@ -48,7 +48,7 @@ type vmDriver struct {
 	mp  uint64
 }
 
-func newVMDriver(s Schedule) (driver, caps, error) {
+func newVMDriver(s Schedule, inj *nvm.Injector) (driver, caps, error) {
 	var mode vm.Mode
 	c := caps{modes: allModes, exactPA: true}
 	base, gc := strings.CutSuffix(s.Runtime, gcSuffix)
@@ -73,7 +73,7 @@ func newVMDriver(s Schedule) (driver, caps, error) {
 	if s.Workload != "mapput" {
 		return nil, caps{}, fmt.Errorf("chaos: runtime %s: unknown workload %q (VM runtimes run \"mapput\")", s.Runtime, s.Workload)
 	}
-	return &vmDriver{s: s, mode: mode, gc: gc}, c, nil
+	return &vmDriver{s: s, mode: mode, cfg: chaosNVMConfig(gc, inj)}, c, nil
 }
 
 func (d *vmDriver) prepare(seed int64) error {
@@ -81,7 +81,7 @@ func (d *vmDriver) prepare(seed int64) error {
 	if err != nil {
 		return err
 	}
-	d.reg = region.Create(1<<22, chaosNVMConfig(d.gc))
+	d.reg = region.Create(1<<22, d.cfg)
 	d.lm = locks.NewManager(d.reg)
 	d.m = vm.New(d.reg, d.lm, prog, d.mode)
 	mp, err := irprog.NewMap(d.reg, d.lm, mapBuckets)

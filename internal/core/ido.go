@@ -535,15 +535,15 @@ func (rt *Runtime) Stats() persist.RuntimeStats {
 func (rt *Runtime) Recover(rr *persist.ResumeRegistry) (persist.RecoveryStats, error) {
 	start := time.Now()
 	dev := rt.reg.Dev
-	attempt := nvm.EnterRecovery()
-	defer nvm.ExitRecovery()
+	attempt := dev.Injector().EnterRecovery()
+	defer dev.Injector().ExitRecovery()
 	// With a recovery-scoped crash budget armed, run the single-goroutine
 	// restore path: goroutine interleaving would make "the Nth device
 	// event of recovery" a different event on every run, and the chaos
 	// harness needs schedules to replay bit-for-bit. The serial path
 	// preserves the §III-C barrier by finishing every restore/re-acquire
 	// before the first resume.
-	serial := nvm.RecoveryCrashArmed()
+	serial := dev.Injector().RecoveryCrashArmed()
 	var stats persist.RecoveryStats
 	stats.Attempt = attempt
 	stats.Audit = &obs.RecoveryAudit{Runtime: rt.Name(), Attempt: attempt}

@@ -30,7 +30,7 @@ func runtimes() map[string]func() persist.Runtime {
 
 func newEnv(t *testing.T, size int) *Env {
 	t.Helper()
-	reg := region.Create(size, nvm.Config{})
+	reg := region.Create(size, nvm.Config{Crash: new(nvm.Injector)})
 	return &Env{Reg: reg, LM: locks.NewManager(reg)}
 }
 
@@ -217,7 +217,6 @@ func catchCrash(fn func()) (crashed bool) {
 // run iDO recovery with the ds resume registry.
 func reopenIDO(t *testing.T, env *Env, cm nvm.CrashMode, rng *rand.Rand) (*Env, persist.RecoveryStats) {
 	t.Helper()
-	nvm.ArmCrash(-1)
 	env.Reg.Dev.Crash(cm, rng)
 	reg2, err := region.Attach(env.Reg.Dev)
 	if err != nil {
@@ -251,7 +250,7 @@ func TestIDOStackCrashRecoveryFuzz(t *testing.T) {
 		env.Reg.SetRoot(1, hdr)
 		th, _ := rt.NewThread()
 		pushed := 0
-		nvm.ArmCrash(int64(rng.Intn(400)))
+		env.Reg.Dev.Injector().Arm(int64(rng.Intn(400)))
 		crashed := catchCrash(func() {
 			for i := 1; i <= 8; i++ {
 				s.Push(th, uint64(i))
@@ -294,7 +293,7 @@ func TestIDOQueueCrashRecoveryFuzz(t *testing.T) {
 		env.Reg.SetRoot(1, hdr)
 		th, _ := rt.NewThread()
 		enq := 0
-		nvm.ArmCrash(int64(rng.Intn(400)))
+		env.Reg.Dev.Injector().Arm(int64(rng.Intn(400)))
 		catchCrash(func() {
 			for i := 1; i <= 8; i++ {
 				q.Enqueue(th, uint64(i))
@@ -331,7 +330,7 @@ func TestIDOListCrashRecoveryFuzz(t *testing.T) {
 		th, _ := rt.NewThread()
 		keys := []uint64{40, 10, 50, 20, 30, 15}
 		done := map[uint64]bool{}
-		nvm.ArmCrash(int64(rng.Intn(900)))
+		env.Reg.Dev.Injector().Arm(int64(rng.Intn(900)))
 		catchCrash(func() {
 			for _, k := range keys {
 				l.Put(th, k, k+1)
@@ -384,7 +383,7 @@ func TestIDOConcurrentMapCrashRecovery(t *testing.T) {
 			threads[g] = th
 		}
 		var wg sync.WaitGroup
-		nvm.ArmCrash(int64(500 + rng.Intn(4000)))
+		env.Reg.Dev.Injector().Arm(int64(500 + rng.Intn(4000)))
 		for g := 0; g < workers; g++ {
 			th := threads[g]
 			wg.Add(1)
@@ -477,7 +476,7 @@ func TestTransferTopAtomicity(t *testing.T) {
 		for i := 1; i <= N; i++ {
 			s1.Push(th, uint64(i))
 		}
-		nvm.ArmCrash(int64(rng.Intn(250)))
+		env.Reg.Dev.Injector().Arm(int64(rng.Intn(250)))
 		moves := 0
 		catchCrash(func() {
 			for i := 0; i < 3; i++ {
@@ -556,7 +555,7 @@ func TestTransferTopBidirectionalNoDeadlock(t *testing.T) {
 func TestIDOStackCrashFuzzWithEvictions(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 40; trial++ {
-		reg := region.Create(1<<22, nvm.Config{Size: 1 << 22, EvictionRate: 3})
+		reg := region.Create(1<<22, nvm.Config{Size: 1 << 22, EvictionRate: 3, Crash: new(nvm.Injector)})
 		env := &Env{Reg: reg, LM: locks.NewManager(reg)}
 		rt := newRT(t, env, func() persist.Runtime { return core.New(core.DefaultConfig()) })
 		s, hdr, err := NewStack(env)
@@ -566,7 +565,7 @@ func TestIDOStackCrashFuzzWithEvictions(t *testing.T) {
 		env.Reg.SetRoot(1, hdr)
 		th, _ := rt.NewThread()
 		pushed := 0
-		nvm.ArmCrash(int64(rng.Intn(400)))
+		env.Reg.Dev.Injector().Arm(int64(rng.Intn(400)))
 		catchCrash(func() {
 			for i := 1; i <= 8; i++ {
 				s.Push(th, uint64(i))

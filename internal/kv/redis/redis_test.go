@@ -28,7 +28,7 @@ func runtimes() map[string]func() persist.Runtime {
 
 func newEnv(t *testing.T, size int) (*Env, *region.Region, *locks.Manager) {
 	t.Helper()
-	reg := region.Create(size, nvm.Config{})
+	reg := region.Create(size, nvm.Config{Crash: new(nvm.Injector)})
 	return &Env{Reg: reg}, reg, locks.NewManager(reg)
 }
 
@@ -144,7 +144,7 @@ func TestIDODBCrashRecoveryFuzz(t *testing.T) {
 			k := uint64(rng.Intn(10) + 1)
 			plan = append(plan, op{del: rng.Intn(4) == 0, k: k, v: uint64(i + 500)})
 		}
-		nvm.ArmCrash(int64(rng.Intn(2500)))
+		reg.Dev.Injector().Arm(int64(rng.Intn(2500)))
 		done := 0
 		catchCrash(func() {
 			for _, o := range plan {
@@ -156,7 +156,6 @@ func TestIDODBCrashRecoveryFuzz(t *testing.T) {
 				done++
 			}
 		})
-		nvm.ArmCrash(-1)
 		reg.Dev.Crash(nvm.CrashMode(rng.Intn(3)), rng)
 		reg2, err := region.Attach(reg.Dev)
 		if err != nil {
@@ -217,7 +216,7 @@ func TestNVMLDBCrashRollback(t *testing.T) {
 		for k := uint64(1); k <= 10; k++ {
 			db.Set(th, k, k)
 		}
-		nvm.ArmCrash(int64(rng.Intn(300)))
+		reg.Dev.Injector().Arm(int64(rng.Intn(300)))
 		done := uint64(0)
 		catchCrash(func() {
 			for k := uint64(11); k <= 20; k++ {
@@ -225,7 +224,6 @@ func TestNVMLDBCrashRollback(t *testing.T) {
 				done = k
 			}
 		})
-		nvm.ArmCrash(-1)
 		reg.Dev.Crash(nvm.CrashPersistAll, nil)
 		reg2, err := region.Attach(reg.Dev)
 		if err != nil {

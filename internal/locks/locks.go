@@ -24,20 +24,21 @@ const holderMagic = 0x1D0_10CC
 type Lock struct {
 	mu     sync.Mutex
 	holder uint64
+	inj    *nvm.Injector // the crash injector of the holder's device
 }
 
 // Acquire locks the transient mutex. Persistence bookkeeping (lock-array
-// updates, fences) is the runtime's job, not the lock's. While crash
-// injection is armed (nvm.ArmCrash), waiters spin so that a machine-wide
-// injected crash also kills goroutines blocked on locks — under a real
-// power failure nobody keeps waiting.
+// updates, fences) is the runtime's job, not the lock's. While the
+// holder device's crash injector is armed, waiters spin so that a crash
+// injected on that machine also kills goroutines blocked on its locks —
+// under a real power failure nobody keeps waiting.
 func (l *Lock) Acquire() {
-	if !nvm.CrashArmed() {
+	if !l.inj.Armed() {
 		l.mu.Lock()
 		return
 	}
 	for !l.mu.TryLock() {
-		if nvm.CrashFired() {
+		if l.inj.Fired() {
 			panic(nvm.CrashSignal{})
 		}
 		runtime.Gosched()
@@ -79,7 +80,7 @@ func (m *Manager) Create() (*Lock, error) {
 	m.reg.Dev.Store64(addr, holderMagic)
 	m.reg.Dev.CLWB(addr)
 	m.reg.Dev.Fence()
-	l := &Lock{holder: addr}
+	l := &Lock{holder: addr, inj: m.reg.Dev.Injector()}
 	m.mu.Lock()
 	m.byHolder[addr] = l
 	m.mu.Unlock()
@@ -99,7 +100,7 @@ func (m *Manager) ByHolder(addr uint64) *Lock {
 	if got := m.reg.Dev.Load64(addr); got != holderMagic {
 		panic(fmt.Sprintf("locks: %#x is not a lock holder (contains %#x)", addr, got))
 	}
-	l := &Lock{holder: addr}
+	l := &Lock{holder: addr, inj: m.reg.Dev.Injector()}
 	m.byHolder[addr] = l
 	return l
 }

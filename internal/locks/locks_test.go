@@ -10,7 +10,7 @@ import (
 
 func newMgr(t *testing.T) (*region.Region, *Manager) {
 	t.Helper()
-	reg := region.Create(1<<16, nvm.Config{})
+	reg := region.Create(1<<16, nvm.Config{Crash: new(nvm.Injector)})
 	return reg, NewManager(reg)
 }
 
@@ -95,10 +95,9 @@ func TestTryAcquire(t *testing.T) {
 func TestAcquireUnderArmedInjectionStillExcludes(t *testing.T) {
 	// With injection armed but a huge budget, the spin path must still
 	// provide mutual exclusion.
-	_, m := newMgr(t)
+	reg, m := newMgr(t)
 	l, _ := m.Create()
-	nvm.ArmCrash(1 << 60)
-	defer nvm.ArmCrash(-1)
+	reg.Dev.Injector().Arm(1 << 60)
 	var counter int
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {

@@ -197,9 +197,6 @@ func TestMetricsReconcile(t *testing.T) {
 }
 
 func TestHealthTransitionsAcrossCrash(t *testing.T) {
-	nvm.ArmCrash(1 << 60)
-	defer nvm.ArmCrash(-1)
-
 	// Before the store is ready, /readyz refuses with the boot reason.
 	h := metrics.NewHealth("attaching store")
 	coll := metrics.NewCollector(nil, nil)
@@ -213,8 +210,13 @@ func TestHealthTransitionsAcrossCrash(t *testing.T) {
 	}
 	pre.Close()
 
+	// Arm before anything runs so lock waiters take the crash-aware
+	// spin path; the kill is the timed Trigger below.
+	inj := new(nvm.Injector)
+	inj.Arm(1 << 60)
 	w := newAdminWorld(t, nvm.Config{
 		GroupCommit: nvm.GroupCommitConfig{Enabled: true, WindowNS: 2000},
+		Crash:       inj,
 	})
 	if st, body := get(t, w.admin.URL+"/readyz"); st != http.StatusOK || !strings.Contains(body, "serving") {
 		t.Fatalf("serving /readyz = %d %q", st, body)
@@ -236,7 +238,7 @@ func TestHealthTransitionsAcrossCrash(t *testing.T) {
 		})
 	}()
 	time.Sleep(50 * time.Millisecond)
-	nvm.TriggerCrash()
+	inj.Trigger()
 	select {
 	case <-w.srv.Crashed():
 	case <-time.After(30 * time.Second):
@@ -264,7 +266,6 @@ func TestHealthTransitionsAcrossCrash(t *testing.T) {
 
 	// Restarted process: recover the image and flip ready again, the
 	// idoserve boot sequence.
-	nvm.ArmCrash(-1)
 	reg2, err := w.reg.Crash(nvm.CrashRandom, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatalf("reattach: %v", err)

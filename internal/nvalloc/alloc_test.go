@@ -11,7 +11,7 @@ import (
 
 func newHeap(t testing.TB, size int) (*nvm.Device, *Allocator) {
 	t.Helper()
-	d := nvm.New(nvm.Config{Size: size})
+	d := nvm.New(nvm.Config{Size: size, Crash: new(nvm.Injector)})
 	return d, New(d, 0, uint64(size))
 }
 
@@ -230,14 +230,13 @@ func leakedLock(a *Allocator) string {
 // ones under magazine, shard, and large-bucket locks — and asserts no
 // lock is leaked by the unwind.
 func TestAllocCrashReleasesLock(t *testing.T) {
-	defer nvm.ArmCrash(-1)
 	crashed := 0
 	for budget := int64(1); budget < 96; budget++ {
-		_, a := newHeap(t, 1<<16)
+		d, a := newHeap(t, 1<<16)
 		if _, err := a.Alloc(24); err != nil { // populate free lists
 			t.Fatal(err)
 		}
-		nvm.ArmCrash(budget)
+		d.Injector().Arm(budget)
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
@@ -259,7 +258,7 @@ func TestAllocCrashReleasesLock(t *testing.T) {
 				a.Free(p)
 			}
 		}()
-		nvm.ArmCrash(-1)
+		d.Injector().Arm(-1)
 		if name := leakedLock(a); name != "" {
 			t.Fatalf("budget %d: %s lock leaked by crash unwind", budget, name)
 		}

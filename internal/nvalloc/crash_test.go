@@ -68,14 +68,14 @@ func sweepWork(a *Allocator, st *sweepState) {
 // attach of the same heap cross-checks that the sharded allocator never
 // bent the shared persistent format.
 func TestAllocCrashSweepRecovers(t *testing.T) {
-	defer nvm.ArmCrash(-1)
 	const arena = 1 << 16
 	crashes := 0
 	for budget := int64(1); ; budget++ {
-		d := nvm.New(nvm.Config{Size: arena})
+		inj := new(nvm.Injector)
+		d := nvm.New(nvm.Config{Size: arena, Crash: inj})
 		a := New(d, 0, arena)
 		st := &sweepState{live: map[uint64]int{}}
-		nvm.ArmCrash(budget)
+		inj.Arm(budget)
 		crashed := func() (c bool) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -88,7 +88,7 @@ func TestAllocCrashSweepRecovers(t *testing.T) {
 			sweepWork(a, st)
 			return false
 		}()
-		nvm.ArmCrash(-1)
+		inj.Arm(-1)
 		if !crashed {
 			if budget == 1 {
 				t.Fatal("budget 1 did not crash: injection is not reaching the allocator")
@@ -344,23 +344,23 @@ func TestAllocNoTransientOOM(t *testing.T) {
 // MutexAllocator attach of the same image (the differential oracle for
 // the shared persistent format).
 func TestAttachCrashSweepReattaches(t *testing.T) {
-	defer nvm.ArmCrash(-1)
 	const arena = 1 << 16
-	d := nvm.New(nvm.Config{Size: arena})
+	inj := new(nvm.Injector)
+	d := nvm.New(nvm.Config{Size: arena, Crash: inj})
 	a := New(d, 0, arena)
 	st := &sweepState{live: map[uint64]int{}}
 
 	// Probe the workload's event count, then rebuild and crash it
 	// mid-flight so the image Attach scans carries in-flight state.
-	nvm.ArmCrash(1 << 40)
+	inj.Arm(1 << 40)
 	sweepWork(a, st)
-	workEvents := int64(1)<<40 - nvm.CrashBudgetRemaining()
-	nvm.ArmCrash(-1)
+	workEvents := int64(1)<<40 - inj.Remaining()
+	inj.Arm(-1)
 
-	d = nvm.New(nvm.Config{Size: arena})
+	d = nvm.New(nvm.Config{Size: arena, Crash: inj})
 	a = New(d, 0, arena)
 	st = &sweepState{live: map[uint64]int{}}
-	nvm.ArmCrash(workEvents * 3 / 5)
+	inj.Arm(workEvents * 3 / 5)
 	crashed := func() (c bool) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -373,20 +373,20 @@ func TestAttachCrashSweepReattaches(t *testing.T) {
 		sweepWork(a, st)
 		return false
 	}()
-	nvm.ArmCrash(-1)
+	inj.Arm(-1)
 	if !crashed {
 		t.Fatal("mid-workload budget did not fire")
 	}
 	d.Crash(nvm.CrashDiscard, nil)
 
 	// Probe the scan's own event count on the settled image.
-	nvm.ArmCrash(1 << 40)
+	inj.Arm(1 << 40)
 	ref, err := Attach(d, 0, arena)
 	if err != nil {
 		t.Fatalf("reference Attach: %v", err)
 	}
-	scanEvents := int64(1)<<40 - nvm.CrashBudgetRemaining()
-	nvm.ArmCrash(-1)
+	scanEvents := int64(1)<<40 - inj.Remaining()
+	inj.Arm(-1)
 	if scanEvents < 2 {
 		t.Fatalf("scan performed only %d device events", scanEvents)
 	}
@@ -398,7 +398,7 @@ func TestAttachCrashSweepReattaches(t *testing.T) {
 	}
 	points := 0
 	for off := int64(1); off < scanEvents; off += stride {
-		nvm.ArmCrash(off)
+		inj.Arm(off)
 		crashed := func() (c bool) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -414,7 +414,7 @@ func TestAttachCrashSweepReattaches(t *testing.T) {
 			}
 			return false
 		}()
-		nvm.ArmCrash(-1)
+		inj.Arm(-1)
 		if t.Failed() {
 			return
 		}

@@ -70,11 +70,6 @@ type Config struct {
 	// number of cache lines. Must be > 0.
 	Size int
 
-	// Shards is obsolete: the cache is a flat per-line-locked table and
-	// no longer shards. The field is retained so old configurations keep
-	// compiling; its value is ignored.
-	Shards int
-
 	// FlushNS is the base cost, in nanoseconds, of one cache-line
 	// write-back (clwb/clflush reaching the memory controller).
 	FlushNS int
@@ -109,6 +104,12 @@ type Config struct {
 	// PersistBatch and FenceBatch are exactly FlushLines+Fence and
 	// Fence.
 	GroupCommit GroupCommitConfig
+
+	// Crash is the crash injector governing this device (inject.go).
+	// Devices that share an injector lose power together; a device with
+	// its own injector dies alone. Nil selects the default injector,
+	// which ArmCrash and TriggerCrash drive.
+	Crash *Injector
 }
 
 // CrashMode selects what happens to dirty (unflushed) cache words when the
@@ -218,9 +219,13 @@ type Device struct {
 	// wait for in-flight commits without fencing themselves.
 	tick ticketing
 
-	// linj is device-scoped crash injection (inject_local.go), checked
-	// by every event hook after the global state.
-	linj localInject
+	// inj is the crash injector every event hook checks (inject.go).
+	inj *Injector
+
+	// gen counts Crash calls. Crash disarms inj, so a goroutine parked
+	// across it could no longer observe the fired crash; parked waiters
+	// snapshot gen instead and die when it moves (crashedSince).
+	gen atomic.Uint64
 }
 
 // SetTracer attaches (or, with nil, detaches) a persist-event tracer.
@@ -244,6 +249,10 @@ func New(cfg Config) *Device {
 		words:  make([]uint64, lines*wordsPerLine),
 		cached: make([]uint64, lines*wordsPerLine),
 		state:  make([]atomic.Uint64, lines),
+		inj:    cfg.Crash,
+	}
+	if d.inj == nil {
+		d.inj = &defaultInjector
 	}
 	seed := uint64(0x1D0)
 	for i := range d.evict {
@@ -308,8 +317,8 @@ func (d *Device) count(ev int, n uint64) {
 // observed state (lock bit set). Only the lock holder may mutate the
 // line's cached words or its valid/dirty masks, so the holder releases
 // by storing the complete new state word. The loop is crash-aware:
-// waiters die once an injected crash has fired, mirroring the lock-spin
-// behavior documented in inject.go.
+// waiters die once the device's injected crash has fired, mirroring the
+// lock-spin behavior of locks.Lock.
 //
 // Acquisition is spelled Load+CompareAndSwap rather than the tidier
 // s.Or(lineLock): go1.24.0/amd64 lowers value-returning atomic Or to a
@@ -329,7 +338,7 @@ func (d *Device) lockLine(li uint64) uint64 {
 		for s.Load()&lineLock != 0 {
 			i++
 			if i&63 == 0 {
-				if d.anyCrashFired() {
+				if d.crashFired() {
 					panic(CrashSignal{})
 				}
 				runtime.Gosched()
@@ -465,7 +474,7 @@ func (d *Device) Fence() {
 	// the token cannot leak across an injected crash.
 	for i := 0; !d.fenceTok.CompareAndSwap(0, 1); i++ {
 		if i&63 == 63 {
-			if d.anyCrashFired() {
+			if d.crashFired() {
 				panic(CrashSignal{})
 			}
 			runtime.Gosched()
@@ -529,10 +538,10 @@ func (d *Device) maybeEvict(li uint64, rate int) {
 // reached the persistence domain, exactly like a machine losing power.
 func (d *Device) Crash(mode CrashMode, rng *rand.Rand) {
 	d.count(statCrashes, 1)
-	// The local crash (if any) has now happened: the reopened device
-	// starts with injection disarmed, like a rebooted machine. Global
-	// injection stays armed until the harness disarms it, as before.
-	d.ArmLocalCrash(-1)
+	// The injected crash (if any) has now happened: the reopened device
+	// starts with its injector disarmed, like a rebooted machine.
+	d.inj.Arm(-1)
+	d.gen.Add(1)
 	if tr := d.trc.Load(); tr != nil {
 		tr.DevEmit(obs.KCrash, uint64(mode), 0)
 	}
@@ -540,6 +549,9 @@ func (d *Device) Crash(mode CrashMode, rng *rand.Rand) {
 		panic("nvm: CrashRandom requires a *rand.Rand")
 	}
 	for li := range d.state {
+		if d.state[li].Load() == 0 {
+			continue // nothing cached and unlocked: no state to lose
+		}
 		st := d.lockLine(uint64(li))
 		if dirty := st >> dirtyShift & laneMask; dirty != 0 {
 			wbase := uint64(li) * wordsPerLine
@@ -561,7 +573,7 @@ func (d *Device) Crash(mode CrashMode, rng *rand.Rand) {
 	// The fence token and the combiner are volatile CPU-side state:
 	// whoever held them is dead, so the reopened device starts clean.
 	// The ticket bump wakes readers parked on pre-crash commits — they
-	// re-check their predicate, see the injected crash, and unwind.
+	// re-check their predicate, see the generation move, and unwind.
 	d.fenceTok.Store(0)
 	d.gc.reset()
 	d.tick.bump()

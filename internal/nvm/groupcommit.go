@@ -162,7 +162,7 @@ func (c *combiner) reset() {
 		c.slots[i].lines = nil
 	}
 	// Liveness backstop: any waiter still parked (its leader died in the
-	// crash) wakes, observes the fired injection, and dies too.
+	// crash) wakes, observes the device generation move, and dies too.
 	c.wake.Broadcast()
 	c.mu.Unlock()
 }
@@ -243,7 +243,7 @@ func (d *Device) FenceBatch() {
 // every waiter dies, and on a single-P schedule the serving leader
 // needs the processor to make progress.
 func (d *Device) gcSpinCheck() {
-	if d.anyCrashFired() {
+	if d.crashFired() {
 		panic(CrashSignal{})
 	}
 	runtime.Gosched()
@@ -253,6 +253,7 @@ func (d *Device) gcSpinCheck() {
 // lines == nil is a fence-only commit.
 func (d *Device) gcPersist(lines []uint64) {
 	c := d.gc
+	gen := d.gen.Load()
 	n := c.pending.Add(1)
 	defer c.pending.Add(-1)
 	if n == 1 && !c.cfg.ForceCombine {
@@ -337,11 +338,11 @@ func (d *Device) gcPersist(lines []uint64) {
 		}
 		c.mu.Lock()
 		for s.state.Load() != gcDone && c.leader.Load() == 1 &&
-			!d.anyCrashFired() {
+			!d.crashedSince(gen) {
 			c.wake.Wait()
 		}
 		c.mu.Unlock()
-		if d.anyCrashFired() {
+		if d.crashedSince(gen) {
 			panic(CrashSignal{})
 		}
 	}
@@ -383,7 +384,7 @@ func (d *Device) gcLead() {
 		// dwell ends early when a whole round gathered nobody new and
 		// no committer is still en route to publishing.
 		for rounds := (w + gcDwellSliceNS - 1) / gcDwellSliceNS; rounds > 0; rounds-- {
-			if d.anyCrashFired() {
+			if d.crashFired() {
 				panic(CrashSignal{})
 			}
 			c.dwell.Add(1)

@@ -22,14 +22,14 @@ import (
 func TestGroupCommitLeaderCrashWakesParked(t *testing.T) {
 	for _, budget := range []int64{2, 3, 4} {
 		t.Run(fmt.Sprintf("budget%d", budget), func(t *testing.T) {
+			inj := new(Injector)
 			d := New(Config{Size: 1 << 20, FlushNS: 2_000_000, FenceNS: 2_000_000,
-				GroupCommit: GroupCommitConfig{Enabled: true, ForceCombine: true}})
+				GroupCommit: GroupCommitConfig{Enabled: true, ForceCombine: true}, Crash: inj})
 			lines := []uint64{0, 64}
 			for _, ln := range lines {
 				d.Store64(ln, 1)
 			}
-			ArmCrash(budget)
-			defer ArmCrash(-1)
+			inj.Arm(budget)
 			var wg sync.WaitGroup
 			for i := 0; i < 2; i++ {
 				wg.Add(1)
@@ -52,7 +52,7 @@ func TestGroupCommitLeaderCrashWakesParked(t *testing.T) {
 			case <-time.After(20 * time.Second):
 				t.Fatal("a combiner waiter outlived the leader's crash (parked forever?)")
 			}
-			if !CrashFired() {
+			if !inj.Fired() {
 				t.Fatal("crash budget never fired: the sweep no longer covers the serve path")
 			}
 		})
@@ -61,7 +61,7 @@ func TestGroupCommitLeaderCrashWakesParked(t *testing.T) {
 
 func gcDevice(t *testing.T, cfg GroupCommitConfig, tr *obs.Tracer) *Device {
 	t.Helper()
-	return New(Config{Size: 1 << 20, GroupCommit: cfg, Tracer: tr})
+	return New(Config{Size: 1 << 20, GroupCommit: cfg, Tracer: tr, Crash: new(Injector)})
 }
 
 // TestGroupCommitDisabledIsDirect: with the combiner off, PersistBatch
@@ -241,7 +241,12 @@ func TestGroupCommitMergesConcurrent(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
+	// Release under mu with a broadcast, as a real leader does: a
+	// publisher that already parked would otherwise sleep forever.
+	d.gc.mu.Lock()
 	d.gc.leader.Store(0)
+	d.gc.wake.Broadcast()
+	d.gc.mu.Unlock()
 	wg.Wait()
 
 	d.assertPersisted(t, 0, 11)
@@ -275,7 +280,7 @@ func TestGroupCommitCrashMidBatchResets(t *testing.T) {
 	// In-flight suffix: arm a budget small enough to die inside the
 	// next commit's combiner path, then observe CrashSignal.
 	d.Store64(64, 7)
-	ArmCrash(1) // publish tick + first flush tick > 1 → fires mid-commit
+	d.Injector().Arm(1) // publish tick + first flush tick > 1 → fires mid-commit
 	func() {
 		defer func() {
 			if r := recover(); r == nil {
@@ -286,7 +291,7 @@ func TestGroupCommitCrashMidBatchResets(t *testing.T) {
 		}()
 		d.PersistBatch([]uint64{64})
 	}()
-	ArmCrash(-1)
+	d.Injector().Arm(-1)
 
 	d.Crash(CrashDiscard, nil)
 	if got := d.Load64(0); got != 42 {

@@ -62,8 +62,8 @@ func (tk *ticketing) bump() {
 func (d *Device) CommitTicket() uint64 { return d.tick.fenceSeq.Load() }
 
 // WaitTicket blocks until the fence sequence reaches t, until cancel
-// (if non-nil) no longer holds was, or until an injected crash fires —
-// in which case it panics CrashSignal like every other device
+// (if non-nil) no longer holds was, or until an injected crash fires or
+// Crash reboots the device — in which case it panics CrashSignal like every other device
 // operation, so a parked reader unwinds through the same recovery path
 // as an executing one.
 //
@@ -75,10 +75,11 @@ func (d *Device) CommitTicket() uint64 { return d.tick.fenceSeq.Load() }
 // word.
 func (d *Device) WaitTicket(t uint64, cancel *atomic.Uint64, was uint64) {
 	tk := &d.tick
+	gen := d.gen.Load()
 	done := func() bool {
 		return tk.fenceSeq.Load() >= t ||
 			(cancel != nil && cancel.Load() != was) ||
-			d.anyCrashFired()
+			d.crashedSince(gen)
 	}
 	for i := 0; i < 256; i++ {
 		if done() {
@@ -96,7 +97,7 @@ func (d *Device) WaitTicket(t uint64, cancel *atomic.Uint64, was uint64) {
 	tk.mu.Unlock()
 	tk.waiters.Add(-1)
 out:
-	if d.anyCrashFired() {
+	if d.crashedSince(gen) {
 		panic(CrashSignal{})
 	}
 }

@@ -89,9 +89,8 @@ func TestWaitTicketCancelWord(t *testing.T) {
 }
 
 func TestWaitTicketUnwindsOnCrash(t *testing.T) {
-	d := New(Config{Size: 1 << 16})
-	ArmCrash(1 << 60)
-	defer ArmCrash(-1)
+	d := New(Config{Size: 1 << 16, Crash: new(Injector)})
+	d.Injector().Arm(1 << 60)
 	unwound := make(chan struct{})
 	go func() {
 		defer func() {
@@ -103,7 +102,7 @@ func TestWaitTicketUnwindsOnCrash(t *testing.T) {
 		d.WaitTicket(d.CommitTicket()+1<<40, nil, 0)
 	}()
 	time.Sleep(20 * time.Millisecond)
-	TriggerCrash()
+	d.Injector().Trigger()
 	// Settling the device bumps the ticket so parked waiters re-check
 	// the predicate, observe the fired injection, and unwind.
 	d.Crash(CrashRandom, rand.New(rand.NewSource(1)))

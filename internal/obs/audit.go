@@ -48,7 +48,7 @@ type ThreadAudit struct {
 type RecoveryAudit struct {
 	Runtime string
 	// Attempt is this pass's recovery-attempt index (0 for the first
-	// pass since nvm.ResetRecoveryPasses). Under the chaos harness each
+	// pass on its device's nvm.Injector). Under the chaos harness each
 	// nested crash-during-recovery bumps it, so a failing schedule's
 	// audit trail shows which nesting level did what.
 	Attempt int

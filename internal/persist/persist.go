@@ -159,7 +159,7 @@ type RecoveryStats struct {
 	Elapsed    time.Duration // wall time of the pass
 
 	// Attempt is the recovery-attempt index of this pass (0 for the
-	// first pass since nvm.ResetRecoveryPasses). A pass that runs after
+	// first pass on its device's nvm.Injector). A pass that runs after
 	// an earlier pass crashed mid-recovery reports a higher Attempt —
 	// the re-entrancy counter the chaos harness asserts on.
 	Attempt int

@@ -47,12 +47,13 @@ func TestServerCrashMidServe(t *testing.T) {
 // it actually fired with acked traffic outstanding.
 func TestServerCrashUnderFastReads(t *testing.T) {
 	const shards = 4
+	inj := new(nvm.Injector)
 	devcfg := nvm.Config{
 		Size:        1 << 22,
 		GroupCommit: nvm.GroupCommitConfig{Enabled: true, WindowNS: 2000},
+		Crash:       inj,
 	}
-	nvm.ArmCrash(400_000)
-	defer nvm.ArmCrash(-1)
+	inj.Arm(400_000)
 
 	reg := region.Create(1<<22, devcfg)
 	lm := locks.NewManager(reg)
@@ -119,7 +120,7 @@ func TestServerCrashUnderFastReads(t *testing.T) {
 	if wres.err != nil || rres.err != nil {
 		t.Fatalf("loadgen: writers=%v readers=%v", wres.err, rres.err)
 	}
-	if !nvm.CrashFired() {
+	if !inj.Fired() {
 		t.Fatalf("injected crash did not fire")
 	}
 	// Every reply either side acked before the crash parsed cleanly
@@ -136,7 +137,6 @@ func TestServerCrashUnderFastReads(t *testing.T) {
 
 	// Recover as a restarted process and hold the image to the same
 	// structural and history invariants as the mid-serve smoke.
-	nvm.ArmCrash(-1)
 	rng := rand.New(rand.NewSource(3))
 	reg2, err := reg.Crash(nvm.CrashRandom, rng)
 	if err != nil {
@@ -221,15 +221,16 @@ func dialer2(srv *server.Server) func() (net.Conn, error) {
 
 func runCrashMidServe(t *testing.T, proto server.Proto) {
 	const shards = 4
+	inj := new(nvm.Injector)
 	devcfg := nvm.Config{
 		Size:        1 << 22,
 		GroupCommit: nvm.GroupCommitConfig{Enabled: true, WindowNS: 2000},
+		Crash:       inj,
 	}
 	// Arm before anything runs so every lock waiter takes the
 	// crash-aware spin path; the budget is far beyond reach, the actual
-	// kill is the timed TriggerCrash below.
-	nvm.ArmCrash(1 << 60)
-	defer nvm.ArmCrash(-1)
+	// kill is the timed Trigger below.
+	inj.Arm(1 << 60)
 
 	reg := region.Create(1<<22, devcfg)
 	lm := locks.NewManager(reg)
@@ -284,7 +285,7 @@ func runCrashMidServe(t *testing.T, proto server.Proto) {
 
 	// Let the mix run, then pull the plug mid-flight.
 	time.Sleep(150 * time.Millisecond)
-	nvm.TriggerCrash()
+	inj.Trigger()
 	select {
 	case <-srv.Crashed():
 	case <-time.After(30 * time.Second):
@@ -303,13 +304,12 @@ func runCrashMidServe(t *testing.T, proto server.Proto) {
 	if res.Ops == 0 {
 		t.Fatalf("crash fired before any request was acknowledged; smoke proves nothing")
 	}
-	if !nvm.CrashFired() {
+	if !inj.Fired() {
 		t.Fatalf("injected crash did not fire")
 	}
 	t.Logf("%s: %d acked ops, %d tracked keys at crash", proto, res.Ops, len(res.Tracked))
 
 	// Settle the persistence domain and recover, as a restarted process.
-	nvm.ArmCrash(-1)
 	rng := rand.New(rand.NewSource(7))
 	reg2, err := reg.Crash(nvm.CrashRandom, rng)
 	if err != nil {
@@ -425,14 +425,15 @@ func runCrashMidServe(t *testing.T, proto server.Proto) {
 // channel, so Close returns promptly, and recovery must leave every
 // acked key explainable by its history.
 func TestServerCrashShardLockHandoff(t *testing.T) {
+	inj := new(nvm.Injector)
 	devcfg := nvm.Config{
 		Size:        1 << 22,
 		GroupCommit: nvm.GroupCommitConfig{Enabled: true, WindowNS: 2000},
+		Crash:       inj,
 	}
 	// Arm before anything runs so lock waiters take the crash-aware
 	// spin path; the real budget is set once the server is up.
-	nvm.ArmCrash(1 << 60)
-	defer nvm.ArmCrash(-1)
+	inj.Arm(1 << 60)
 
 	reg := region.Create(1<<22, devcfg)
 	lm := locks.NewManager(reg)
@@ -451,7 +452,7 @@ func TestServerCrashShardLockHandoff(t *testing.T) {
 	}
 	// Only sets and deletes: the device events that spend the budget all
 	// come from mutating FASEs.
-	nvm.ArmCrash(200_000)
+	inj.Arm(200_000)
 	resc := make(chan *loadgen.Result, 1)
 	go func() {
 		res, lerr := loadgen.Run(loadgen.Config{
@@ -498,7 +499,6 @@ func TestServerCrashShardLockHandoff(t *testing.T) {
 		t.Fatalf("%d malformed replies before the crash", res.Errs)
 	}
 
-	nvm.ArmCrash(-1)
 	reg2, err := reg.Crash(nvm.CrashRandom, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatalf("reattach: %v", err)

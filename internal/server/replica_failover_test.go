@@ -36,6 +36,7 @@ func newReplWorld(t *testing.T, shards int) *replWorld {
 	w.reg = region.Create(1<<22, nvm.Config{
 		Size:        1 << 22,
 		GroupCommit: nvm.GroupCommitConfig{Enabled: true, WindowNS: 2000},
+		Crash:       new(nvm.Injector), // each world is its own machine
 	})
 	w.lm = locks.NewManager(w.reg)
 	w.rt = core.New(core.DefaultConfig())
@@ -157,11 +158,10 @@ func TestFailoverPrimaryCrashMidLoad(t *testing.T) {
 		return client, nil
 	}
 
-	// Arm a device-local crash budget on the primary only: it burns on
+	// Arm a crash budget on the primary's injector only: it burns on
 	// primary device events and fires mid-FASE; the standby's device
 	// (and its apply FASEs) keep running.
-	primary.reg.Dev.ArmLocalCrash(250_000)
-	defer primary.reg.Dev.ArmLocalCrash(-1)
+	primary.reg.Dev.Injector().Arm(250_000)
 
 	res, err := loadgen.RunFT(loadgen.Config{
 		Proto: loadgen.ProtoMemcache, Conns: 4, Pipeline: 4, Keys: 256,
@@ -179,10 +179,10 @@ func TestFailoverPrimaryCrashMidLoad(t *testing.T) {
 	default:
 		t.Fatal("primary crash budget did not fire during the load")
 	}
-	if !primary.reg.Dev.LocalCrashFired() {
-		t.Fatal("local crash not fired on primary device")
+	if !primary.reg.Dev.Injector().Fired() {
+		t.Fatal("crash not fired on primary device")
 	}
-	if standby.reg.Dev.LocalCrashFired() {
+	if standby.reg.Dev.Injector().Fired() {
 		t.Fatal("standby device caught the primary's crash")
 	}
 	// The semi-sync contract must have held while the primary served: a
@@ -328,8 +328,7 @@ func TestStandbyCrashMidApplyReplays(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	standby.reg.Dev.ArmLocalCrash(20_000)
-	defer standby.reg.Dev.ArmLocalCrash(-1)
+	standby.reg.Dev.Injector().Arm(20_000)
 
 	for i := 0; i < nrecs; i++ {
 		k := keyWords[rng.Intn(nkeys)]

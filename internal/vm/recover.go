@@ -30,14 +30,14 @@ import (
 func (m *Machine) Recover() (persist.RecoveryStats, error) {
 	start := time.Now()
 	dev := m.Reg.Dev
-	attempt := nvm.EnterRecovery()
-	defer nvm.ExitRecovery()
+	attempt := dev.Injector().EnterRecovery()
+	defer dev.Injector().ExitRecovery()
 	// With a recovery-scoped crash budget armed, run the deterministic
 	// single-goroutine restore path (see core.Runtime.Recover): the Nth
 	// recovery event must be the same event on every replay, and the
 	// §III-C barrier is preserved by finishing every restore/re-acquire
 	// before the first resume.
-	serial := nvm.RecoveryCrashArmed()
+	serial := dev.Injector().RecoveryCrashArmed()
 	var stats persist.RecoveryStats
 	stats.Attempt = attempt
 	stats.Audit = &obs.RecoveryAudit{Runtime: "vm-" + m.Mode.String(), Attempt: attempt}
